@@ -2,11 +2,8 @@
 connectivity, and machine verification of the structural facts behind it."""
 
 from .perms import (
-    GenKind,
-    GenOp,
     Parity,
     Perm,
-    apply,
     even_rank,
     even_unrank,
     exchange,

@@ -18,18 +18,19 @@ import sys
 from .graphs import (
     FAMILY_AG,
     FAMILY_SPLIT_STAR,
+    MAX_N_AG,
+    MAX_N_SPLIT_STAR,
     build_family,
     to_dimacs,
     to_json_dict,
 )
 from .kappa import (
     DEFAULT_BUDGET,
-    CutWitness,
     construct_paper_cut,
     kappa_ell_exhaustive,
     kappa_ell_witness_search,
     kappa_formula,
-    verify_cut,
+    kappa_formula_text,
 )
 from .lemmas import (
     CUT_RULES,
@@ -61,21 +62,14 @@ H_EXTRA_REFERENCE = {
     (FAMILY_SPLIT_STAR, 3): ("8n-24", lambda n: 8 * n - 24, 4),
 }
 
-KAPPA_FORMULA_TEXT = {
-    (FAMILY_AG, 3): "4n-10",
-    (FAMILY_AG, 4): "6n-16",
-    (FAMILY_AG, 5): "8n-24",
-    (FAMILY_SPLIT_STAR, 3): "4n-8",
-    (FAMILY_SPLIT_STAR, 4): "6n-14",
-    (FAMILY_SPLIT_STAR, 5): "8n-20",
-}
-
-
 def _default_budget() -> int:
     env = os.environ.get("KAPPALAB_BUDGET")
-    if env:
+    if not env:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"KAPPALAB_BUDGET must be an integer, got {env!r}") from None
 
 
 def _resolve_jobs(jobs: int) -> int:
@@ -173,8 +167,7 @@ def cmd_verify(args) -> int:
 
 def _table_rows(families, n_max, ells):
     for family in families:
-        family_cap = 8 if family == FAMILY_AG else 7
-        top = min(n_max, family_cap)
+        top = min(n_max, MAX_N_AG if family == FAMILY_AG else MAX_N_SPLIT_STAR)
         for ell in ells:
             n_min = 5 if (family == FAMILY_AG and ell == 5) else 4
             for n in range(n_min, top + 1):
@@ -188,17 +181,14 @@ def _table_row(G, family, ell, n, budget, jobs):
         result = kappa_ell_exhaustive(G, ell, k_max=formula, budget=budget, jobs=jobs)
         value, tier = result.value, result.tier.value
     else:
-        witness = construct_paper_cut(G, ell)
-        recheck = verify_cut(G, witness.fault, ell)
-        assert isinstance(recheck, CutWitness)
-        value, tier = len(witness.fault), "WitnessUpperBound"
+        value, tier = len(construct_paper_cut(G, ell).fault), "WitnessUpperBound"
     h = ell - 2
     h_text, h_fn, h_min_n = H_EXTRA_REFERENCE[(family, h)]
     return {
         "family": family,
         "ell": ell,
         "n": n,
-        "formula": KAPPA_FORMULA_TEXT[(family, ell)],
+        "formula": kappa_formula_text(family, ell),
         "formula_value": formula,
         "value": value,
         "tier": tier,
@@ -253,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True)
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--jobs", type=int, default=1, help="worker count; 0 = auto")
-        p.add_argument("--budget", type=int, default=_default_budget(),
+        p.add_argument("--budget", type=int, default=None,
                        help="explored-subset budget")
         p.add_argument("--seed", type=int, default=0)
 
@@ -301,6 +291,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget is None:
+            args.budget = _default_budget()
         return args.func(args)
     except ValueError as exc:
         print(f"kappalab: {exc}", file=sys.stderr)

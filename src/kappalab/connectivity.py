@@ -3,8 +3,10 @@ vertex connectivity.
 
 Everything here operates on bitmask adjacency (``BitGraph.adj_masks``) so the
 solvers can call the component routines tens of millions of times without
-materializing vertex sets. Vertex sets cross the API boundary as plain
-iterables of ids and come back as sorted tuples or frozensets.
+materializing vertex sets. One breadth-first kernel, :func:`component_masks`,
+finds components; :func:`count_components`, :func:`is_connected_after` and
+:func:`components` are thin views of it. Vertex sets cross the API boundary
+as plain iterables of ids and come back as sorted tuples or frozensets.
 """
 
 from __future__ import annotations
@@ -50,17 +52,18 @@ def ids_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def component_masks(adj: tuple[int, ...], alive: int) -> list[int]:
+def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[int]:
     """Connected components of the subgraph induced by ``alive``, as masks.
 
-    Components are produced in order of their lowest vertex id.
+    Components come in order of their lowest vertex id; with ``limit`` > 0
+    only the first ``limit`` of them are found. This is the one component
+    kernel: every count and connectivity test in the package runs through it.
     """
     comps = []
     remaining = alive
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
+        remaining ^= comp
         while frontier:
             nxt = 0
             m = frontier
@@ -68,54 +71,23 @@ def component_masks(adj: tuple[int, ...], alive: int) -> list[int]:
                 low = m & -m
                 nxt |= adj[low.bit_length() - 1]
                 m ^= low
-            frontier = nxt & remaining & ~comp
+            frontier = nxt & remaining
+            remaining ^= frontier
             comp |= frontier
         comps.append(comp)
-        remaining &= ~comp
+        if len(comps) == limit:
+            break
     return comps
 
 
 def count_components(adj: tuple[int, ...], alive: int, stop_at: int = 0) -> int:
     """Number of components induced by ``alive``; early exit at ``stop_at``."""
-    count = 0
-    remaining = alive
-    while remaining:
-        count += 1
-        if stop_at and count >= stop_at:
-            return count
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
-        remaining &= ~comp
-    return count
+    return len(component_masks(adj, alive, stop_at))
 
 
 def is_connected_after(adj: tuple[int, ...], alive: int) -> bool:
     """True iff the subgraph induced by ``alive`` is connected (or empty)."""
-    if alive == 0:
-        return True
-    seed = alive & -alive
-    comp = seed
-    frontier = seed
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & alive & ~comp
-        comp |= frontier
-    return comp == alive
+    return len(component_masks(adj, alive, 2)) <= 1
 
 
 class Shape(Enum):

@@ -13,6 +13,13 @@ l components or fewer than l vertices. Three tiers:
 
 :func:`verify_cut` certifies any fault set against the definition, and
 :func:`hyper_connectivity_scan` censuses all minimum-size cuts.
+
+Every subset scan (the exhaustive tier, the hyper scan and the
+cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine:
+:func:`level_tasks` splits a level into jobs-independent tasks,
+:func:`lex_fault_masks` enumerates a task's fault masks in lex order, and
+:func:`scan_hits` passes each through the component kernel and yields those
+leaving enough components.
 """
 
 from __future__ import annotations
@@ -27,13 +34,12 @@ from .connectivity import (
     ComponentReport,
     component_masks,
     components,
-    count_components,
     ids_of,
     is_connected_after,
     mask_of,
     neighborhood_mask,
 )
-from .graphs import FAMILY_AG, BitGraph, CayleyGraph
+from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, BitGraph, CayleyGraph
 from .perms import Perm, rot_minus, rot_plus
 
 DEFAULT_BUDGET = 10**8  # explored-subset cap, not wall time
@@ -50,10 +56,14 @@ __all__ = [
     "kappa_ell_exhaustive",
     "kappa_ell_witness_search",
     "construct_paper_cut",
+    "kappa_formula",
+    "kappa_formula_text",
     "remark_independent_set",
     "hyper_connectivity_scan",
     "comb_lex_rank",
     "level_tasks",
+    "lex_fault_masks",
+    "scan_hits",
 ]
 
 
@@ -198,22 +208,37 @@ def level_tasks(V: int, k: int, target: int = 200_000) -> list[tuple[tuple[int, 
     return tasks
 
 
+def lex_fault_masks(V: int, k: int, prefix: tuple[int, ...], start: int):
+    """Fault masks of the level-task ``(k, prefix, start)``, in lex order.
+
+    There are ``math.comb(V - start, k - len(prefix))`` of them.
+    """
+    pmask = mask_of(prefix)
+    bits = [1 << v for v in range(start, V)]
+    for comb in itertools.combinations(bits, k - len(prefix)):
+        yield pmask + sum(comb)
+
+
+def scan_hits(adj: tuple[int, ...], full: int, faults, need: int, limit: int):
+    """``(fault_mask, comps)`` for each fault leaving at least ``need`` components.
+
+    ``comps`` holds the first ``limit`` components of G - F (0: all of them).
+    This is the one subset-scan engine: the level scan, the hyper scan and
+    both cut-structure censuses are reducers over its hits.
+    """
+    for fm in faults:
+        comps = component_masks(adj, full ^ fm, limit)
+        if len(comps) >= need:
+            yield fm, comps
+
+
 def _scan_level_worker(task):
     """First F (lex order) in this task's range with >= ell components."""
     state = worker_state()
-    adj = state["adj"]
-    full = state["full"]
-    ell = state["ell"]
-    k, prefix, start = task
-    V = len(adj)
-    pmask = mask_of(prefix)
-    r = k - len(prefix)
-    for comb in itertools.combinations(range(start, V), r):
-        fm = pmask
-        for v in comb:
-            fm |= 1 << v
-        if count_components(adj, full ^ fm, stop_at=ell) >= ell:
-            return prefix + comb
+    adj, ell = state["adj"], state["ell"]
+    faults = lex_fault_masks(len(adj), *task)
+    for fm, _ in scan_hits(adj, state["full"], faults, ell, ell):
+        return ids_of(fm)
     return None
 
 
@@ -450,13 +475,25 @@ def _splitstar_tight_set(G: CayleyGraph, size: int, target: int) -> tuple[int, .
     return tuple(sorted(found))
 
 
-AG_KAPPA_FORMULAS = {3: lambda n: 4 * n - 10, 4: lambda n: 6 * n - 16, 5: lambda n: 8 * n - 24}
-S2_KAPPA_FORMULAS = {3: lambda n: 4 * n - 8, 4: lambda n: 6 * n - 14, 5: lambda n: 8 * n - 20}
+# the paper's kappa_l = a*n - b, as (a, b) per (family, l)
+KAPPA_FORMULAS = {
+    (FAMILY_AG, 3): (4, 10),
+    (FAMILY_AG, 4): (6, 16),
+    (FAMILY_AG, 5): (8, 24),
+    (FAMILY_SPLIT_STAR, 3): (4, 8),
+    (FAMILY_SPLIT_STAR, 4): (6, 14),
+    (FAMILY_SPLIT_STAR, 5): (8, 20),
+}
 
 
 def kappa_formula(family: str, ell: int, n: int) -> int:
-    formulas = AG_KAPPA_FORMULAS if family == FAMILY_AG else S2_KAPPA_FORMULAS
-    return formulas[ell](n)
+    a, b = KAPPA_FORMULAS[(family, ell)]
+    return a * n - b
+
+
+def kappa_formula_text(family: str, ell: int) -> str:
+    a, b = KAPPA_FORMULAS[(family, ell)]
+    return f"{a}n-{b}"
 
 
 def construct_paper_cut(G: CayleyGraph, ell: int) -> CutWitness:
@@ -530,28 +567,17 @@ class HyperScanReport:
 def _hyper_scan_worker(task):
     state = worker_state()
     adj = state["adj"]
-    full = state["full"]
-    k, prefix, start = task
-    V = len(adj)
-    pmask = mask_of(prefix)
-    r = k - len(prefix)
+    faults = lex_fault_masks(len(adj), *task)
     disconnecting = 0
     singletons = 0
     exceptional = []
-    for comb in itertools.combinations(range(start, V), r):
-        fm = pmask
-        for v in comb:
-            fm |= 1 << v
-        alive = full ^ fm
-        if is_connected_after(adj, alive):
-            continue
+    # limit 3 tells "exactly two components" apart from "three or more"
+    for fm, comps in scan_hits(adj, state["full"], faults, 2, 3):
         disconnecting += 1
-        masks = component_masks(adj, alive)
-        sizes = sorted(m.bit_count() for m in masks)
-        if len(masks) == 2 and sizes[0] == 1:
+        if len(comps) == 2 and min(c.bit_count() for c in comps) == 1:
             singletons += 1
         else:
-            exceptional.append(prefix + comb)
+            exceptional.append(ids_of(fm))
     return disconnecting, singletons, exceptional
 
 

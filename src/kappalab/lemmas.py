@@ -10,7 +10,6 @@ prefix) and are reported as "consistent (sampled)", never as proved.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -22,13 +21,19 @@ from .connectivity import (
     Shape,
     common_neighbors,
     components,
-    is_connected_after,
+    ids_of,
     is_independent,
     mask_of,
     neighborhood,
 )
 from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, CayleyGraph, build_family
-from .kappa import DEFAULT_BUDGET, level_tasks, remark_independent_set
+from .kappa import (
+    DEFAULT_BUDGET,
+    level_tasks,
+    lex_fault_masks,
+    remark_independent_set,
+    scan_hits,
+)
 from .perms import Perm, exchange, rot_minus, rot_plus
 
 SAMPLE_CHUNKS = 64  # fixed partition of sampled trials; independent of jobs
@@ -197,6 +202,13 @@ def sample_subset(rng: random.Random, V: int, k: int) -> list[int]:
 
 def _chunk_seed(seed: int, chunk: int) -> int:
     return (seed * 0x9E3779B1 + chunk) & 0x7FFFFFFFFFFFFFFF
+
+
+def _sampled_fault_masks(seed: int, chunk: int, trials: int, V: int, size: int):
+    """Fault masks of one seeded sample chunk."""
+    rng = random.Random(_chunk_seed(seed, chunk))
+    for _ in range(trials):
+        yield mask_of(sample_subset(rng, V, size))
 
 
 def _verify_independent_bounds(
@@ -510,14 +522,6 @@ def _rule_s2_4n8(G, report, fsize) -> bool:
     return False
 
 
-def _rule_s2_6n17(G, report, fsize) -> bool:
-    return _rule_ag_6n19(G, report, fsize)
-
-
-def _rule_s2_8n25(G, report, fsize) -> bool:
-    return _rule_ag_8n29(G, report, fsize)
-
-
 def _has_four_cycle(report: ComponentReport) -> bool:
     return Shape.FOUR_CYCLE in report.shapes
 
@@ -542,8 +546,8 @@ CUT_RULES: dict[str, CutStructureRule] = {
             "s2-4n-8", FAMILY_SPLIT_STAR, lambda n: 4 * n - 8, 4, _rule_s2_4n8,
             exceptional=_s2_exceptional,
         ),
-        CutStructureRule("s2-6n-17", FAMILY_SPLIT_STAR, lambda n: 6 * n - 17, 5, _rule_s2_6n17),
-        CutStructureRule("s2-8n-25", FAMILY_SPLIT_STAR, lambda n: 8 * n - 25, 5, _rule_s2_8n25),
+        CutStructureRule("s2-6n-17", FAMILY_SPLIT_STAR, lambda n: 6 * n - 17, 5, _rule_ag_6n19),
+        CutStructureRule("s2-8n-25", FAMILY_SPLIT_STAR, lambda n: 8 * n - 25, 5, _rule_ag_8n29),
     )
 }
 
@@ -566,54 +570,36 @@ def _examine_fault(G, rule, exceptional, fault, fsize, violations, outcomes, exc
         exc_faults.append(report.fault)
 
 
-def _census_worker(task):
+def _census(faults, fsize):
+    """Examine every disconnecting fault of ``faults`` against the rule."""
     state = worker_state()
     G = state["graph"]
-    rule = state["rule"]
-    exceptional = state["exceptional"]
-    adj = G.adj_masks
-    full = G.full_mask
-    k, prefix, start = task
-    V = len(adj)
-    pmask = mask_of(prefix)
-    r = k - len(prefix)
-    checked = 0
     violations: list[dict] = []
     outcomes: dict[str, int] = {}
     exc_faults: list[tuple[int, ...]] = []
-    for comb in itertools.combinations(range(start, V), r):
-        checked += 1
-        fm = pmask
-        for v in comb:
-            fm |= 1 << v
-        if is_connected_after(adj, full ^ fm):
-            continue
-        _examine_fault(G, rule, exceptional, prefix + comb, k, violations, outcomes, exc_faults)
-    return checked, violations, outcomes, exc_faults
+    for fm, _ in scan_hits(G.adj_masks, G.full_mask, faults, 2, 2):
+        _examine_fault(
+            G, state["rule"], state["exceptional"], ids_of(fm), fsize,
+            violations, outcomes, exc_faults,
+        )
+    return violations, outcomes, exc_faults
+
+
+def _census_worker(task):
+    k, prefix, start = task
+    V = worker_state()["graph"].vertex_count
+    checked = math.comb(V - start, k - len(prefix))
+    return (checked, *_census(lex_fault_masks(V, *task), k))
 
 
 def _sampled_census_worker(task):
     state = worker_state()
-    G = state["graph"]
-    rule = state["rule"]
-    exceptional = state["exceptional"]
-    size = state["size"]
-    seed = state["seed"]
     chunk, trials = task
-    adj = G.adj_masks
-    full = G.full_mask
-    V = G.vertex_count
-    rng = random.Random(_chunk_seed(seed, chunk))
-    violations: list[dict] = []
-    outcomes: dict[str, int] = {}
-    exc_faults: list[tuple[int, ...]] = []
-    for _ in range(trials):
-        fault = tuple(sorted(sample_subset(rng, V, size)))
-        fm = mask_of(fault)
-        if is_connected_after(adj, full ^ fm):
-            continue
-        _examine_fault(G, rule, exceptional, fault, size, violations, outcomes, exc_faults)
-    return trials, violations, outcomes, exc_faults
+    size = state["size"]
+    faults = _sampled_fault_masks(
+        state["seed"], chunk, trials, state["graph"].vertex_count, size
+    )
+    return (trials, *_census(faults, size))
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:
@@ -666,7 +652,7 @@ def verify_cut_structure(
         exc = tuple(f for r in results for f in r[3])
         return VerificationReport(
             lemma_id, G.family, G.n, mode_name, checked, violations,
-            trials=report_trials, seed=seed if report_trials else None,
+            trials=report_trials, seed=None if report_trials is None else seed,
             outcome_counts=tuple(sorted(outcomes.items())),
             exceptional_faults=exc,
         )

@@ -20,14 +20,11 @@ __all__ = [
     "MAX_N",
     "Parity",
     "Perm",
-    "GenKind",
-    "GenOp",
     "parity",
     "swap",
     "exchange",
     "rot_plus",
     "rot_minus",
-    "apply",
     "rank",
     "unrank",
     "even_rank",
@@ -79,38 +76,6 @@ class Perm:
         return self.text()
 
 
-class GenKind(Enum):
-    EXCHANGE = "exchange"      # g_12
-    ROT_PLUS = "rot_plus"      # g_i+ = g_2i g_12
-    ROT_MINUS = "rot_minus"    # g_i- = g_1i g_12
-    SWAP = "swap"              # g_ij, the building block
-
-
-@dataclass(frozen=True)
-class GenOp:
-    """A generator operation acting on permutations (right action)."""
-
-    kind: GenKind
-    i: int = 0
-    j: int = 0
-
-    @classmethod
-    def exchange(cls) -> "GenOp":
-        return cls(GenKind.EXCHANGE)
-
-    @classmethod
-    def rot_plus(cls, i: int) -> "GenOp":
-        return cls(GenKind.ROT_PLUS, i)
-
-    @classmethod
-    def rot_minus(cls, i: int) -> "GenOp":
-        return cls(GenKind.ROT_MINUS, i)
-
-    @classmethod
-    def swap(cls, i: int, j: int) -> "GenOp":
-        return cls(GenKind.SWAP, i, j)
-
-
 def parity(p: Perm) -> Parity:
     """Parity by direct inversion counting (pairs with p_i < p_j and i > j)."""
     s = p.symbols
@@ -150,18 +115,6 @@ def rot_minus(p: Perm, i: int) -> Perm:
     if not 3 <= i <= p.n:
         raise ValueError(f"rotation index {i} outside [3, {p.n}]")
     return swap(swap(p, 1, i), 1, 2)
-
-
-def apply(p: Perm, op: GenOp) -> Perm:
-    if op.kind is GenKind.EXCHANGE:
-        return exchange(p)
-    if op.kind is GenKind.ROT_PLUS:
-        return rot_plus(p, op.i)
-    if op.kind is GenKind.ROT_MINUS:
-        return rot_minus(p, op.i)
-    if op.kind is GenKind.SWAP:
-        return swap(p, op.i, op.j)
-    raise ValueError(f"unknown generator kind {op.kind!r}")
 
 
 def rank(p: Perm) -> int:

@@ -233,6 +233,14 @@ class TestConfigResolution:
                             "--ell", "3", "--budget", "99999")
         assert json.loads(out)["budget"] == 99999
 
+    def test_non_integer_env_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("KAPPALAB_BUDGET", "abc")
+        code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("kappalab: KAPPALAB_BUDGET")
+
     def test_jobs_zero_auto_detect_recorded(self, capsys):
         import os
 

@@ -8,9 +8,12 @@ from kappalab.connectivity import (
     FaultSet,
     Shape,
     common_neighbors,
+    component_masks,
     components,
     count_components,
+    ids_of,
     is_independent,
+    mask_of,
     neighborhood,
     vertex_connectivity,
 )
@@ -67,6 +70,12 @@ class TestComponents:
         oracle = oracle_components(adjacency_dict(ag4), F)
         assert set(map(frozenset, report.components)) == set(oracle)
         assert sum(report.sizes()) + len(F) == ag4.vertex_count
+        in_id_order = sorted(oracle, key=min)
+        alive = ag4.full_mask & ~mask_of(F)
+        for limit in range(4):
+            masks = component_masks(ag4.adj_masks, alive, limit)
+            want = in_id_order[:limit] if limit else in_id_order
+            assert [frozenset(ids_of(m)) for m in masks] == want
 
     def test_accepts_fault_set_objects(self, ag4):
         fs = FaultSet.of(vids(ag4, *AG4_FOUR_CYCLE_FAULT))

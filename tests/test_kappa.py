@@ -31,7 +31,7 @@ from kappalab.kappa import (
 )
 from kappalab.perms import Perm
 
-from .oracles import adjacency_dict, oracle_components
+from .oracles import adjacency_dict, oracle_components, random_connected_graph
 
 
 def vids(G, *texts):
@@ -364,6 +364,35 @@ class TestHyperScan:
         assert hyper_connectivity_scan(ag4, 4, jobs=1) == hyper_connectivity_scan(
             ag4, 4, jobs=3
         )
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(20261017)
+        seen_singleton = seen_exceptional = False
+        for _ in range(6):
+            n, edges = random_connected_graph(rng, max_vertices=10)
+            G = BitGraph.from_edges(n, edges)
+            adj = adjacency_dict(G)
+            kappa = vertex_connectivity(G)
+            for k in (kappa, kappa + 1):
+                disconnecting = singletons = 0
+                exceptional = []
+                for F in itertools.combinations(range(n), k):
+                    comps = oracle_components(adj, F)
+                    if len(comps) < 2:
+                        continue
+                    disconnecting += 1
+                    if len(comps) == 2 and min(map(len, comps)) == 1:
+                        singletons += 1
+                    else:
+                        exceptional.append(F)
+                rep = hyper_connectivity_scan(G, k)
+                assert rep.scanned == math.comb(n, k)
+                assert rep.disconnecting == disconnecting
+                assert rep.singleton_cuts == singletons
+                assert rep.exceptional == tuple(exceptional)
+                seen_singleton |= singletons > 0
+                seen_exceptional |= bool(exceptional)
+        assert seen_singleton and seen_exceptional
 
 
 class TestAg4EightCutCensus:

@@ -226,6 +226,10 @@ class TestCutStructure:
         r2 = verify_cut_structure(ag5, 10, "ag-6n-20", mode="sampled", trials=500, seed=2)
         assert r1.seed != r2.seed
 
+    def test_sampled_zero_trials_keeps_seed(self, ag5):
+        r = verify_cut_structure(ag5, 10, "ag-6n-20", mode="sampled", trials=0, seed=5)
+        assert (r.mode, r.trials, r.seed, r.instances_checked) == ("sampled", 0, 5, 0)
+
     def test_mutation_control(self, ag4):
         # dropping a triangle edge creates a 5-cut isolating two singletons,
         # which the two-component rule must reject

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kappalab.perms import (
-    GenOp,
     Parity,
     Perm,
-    apply,
     even_rank,
     even_unrank,
     exchange,
@@ -102,11 +100,18 @@ class TestGenerators:
         p = Perm.from_text("13425")
         assert rot_plus(p, 4).text() == "21435"
         assert rot_minus(p, 4).text() == "32415"
+        assert exchange(p).text() == "31425"
+        assert swap(p, 3, 5).text() == "13524"
 
     def test_rotation_definitions_from_swaps(self):
         p = Perm.from_text("13425")
         assert rot_plus(p, 4) == swap(swap(p, 2, 4), 1, 2)
         assert rot_minus(p, 4) == swap(swap(p, 1, 4), 1, 2)
+        q = Perm.identity(4)
+        with pytest.raises(ValueError):
+            rot_plus(q, 5)
+        with pytest.raises(ValueError):
+            rot_minus(q, 2)
 
     @given(perms_strategy(), st.data())
     def test_rot_plus_rot_minus_inverse_pair(self, p, data):
@@ -124,20 +129,6 @@ class TestGenerators:
     @given(perms_strategy())
     def test_exchange_is_involution(self, p):
         assert exchange(exchange(p)) == p
-
-    def test_apply_dispatch(self):
-        p = Perm.from_text("13425")
-        assert apply(p, GenOp.rot_plus(4)).text() == "21435"
-        assert apply(p, GenOp.rot_minus(4)).text() == "32415"
-        assert apply(p, GenOp.exchange()).text() == "31425"
-        assert apply(p, GenOp.swap(3, 5)).text() == "13524"
-
-    def test_apply_rejects_out_of_range_index(self):
-        p = Perm.identity(4)
-        with pytest.raises(ValueError):
-            apply(p, GenOp.rot_plus(5))
-        with pytest.raises(ValueError):
-            apply(p, GenOp.rot_minus(2))
 
 
 class TestRanking:
