@@ -7,18 +7,22 @@ Both families are Cayley graphs on permutations of ``1..n``:
 * S_n^2: vertices are all permutations, edges the rotations plus the
   2-exchange g_12; (2n-3)-regular with n! vertices.
 
-Vertex ids are dense ranks (even-permutation rank for AG, plain
-lexicographic rank for the split-star), so id 0 is always the identity.
+Generators act on positions, so the build applies each one to the symbol
+tuples as a fixed position table. Vertex ids are lex positions (among the
+even permutations for AG), equal to ``even_rank`` / ``rank``, so id 0 is
+always the identity.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from operator import itemgetter
 from typing import Iterator
 
-from .perms import Parity, Perm, even_rank, even_unrank, exchange, parity, rank, rot_minus, rot_plus, unrank
+from .perms import Parity, Perm, even_rank, exchange, parity, rank, rot_minus, rot_plus
 
 FAMILY_AG = "ag"
 FAMILY_SPLIT_STAR = "s2"
@@ -129,50 +133,43 @@ class CayleyGraph(BitGraph):
         return self.labels[v].symbols[-1]
 
 
-def _build(family: str, n: int, vertex_count: int, label_of, id_of, with_exchange: bool) -> CayleyGraph:
-    labels = tuple(label_of(k) for k in range(vertex_count))
-    neighbor_ids: list[set[int]] = [set() for _ in range(vertex_count)]
-    for v, p in enumerate(labels):
-        images = [rot_plus(p, i) for i in range(3, n + 1)]
-        images += [rot_minus(p, i) for i in range(3, n + 1)]
-        if with_exchange:
-            images.append(exchange(p))
-        for q in images:
-            u = id_of(q)
-            if u == v:
-                raise AssertionError("generator produced a self-loop")
-            neighbor_ids[v].add(u)
-    neighbors = tuple(tuple(sorted(ns)) for ns in neighbor_ids)
+def _build(family: str, n: int, generators) -> CayleyGraph:
+    identity = Perm.identity(n)
+    moves = []
+    for g in generators:
+        image = g(identity)
+        if image == identity:
+            raise AssertionError("generator produced a self-loop")
+        moves.append(itemgetter(*(s - 1 for s in image.symbols)))
+    labels = tuple(
+        p
+        for p in map(Perm, itertools.permutations(range(1, n + 1)))
+        if family != FAMILY_AG or parity(p) is Parity.EVEN
+    )
+    id_of = {p.symbols: v for v, p in enumerate(labels)}
+    neighbors = tuple(
+        tuple(sorted({id_of[move(p.symbols)] for move in moves})) for p in labels
+    )
     masks = tuple(sum(1 << u for u in ns) for ns in neighbors)
     return CayleyGraph(neighbors, masks, family, n, labels)
+
+
+def _rotations(n: int) -> list:
+    return [partial(rot, i=i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]
 
 
 def build_ag(n: int) -> CayleyGraph:
     """Build AG_n for 3 <= n <= 8."""
     if not 3 <= n <= MAX_N_AG:
         raise ValueError(f"AG_n supported for 3 <= n <= {MAX_N_AG}, got {n}")
-    return _build(
-        FAMILY_AG,
-        n,
-        math.factorial(n) // 2,
-        lambda k: even_unrank(k, n),
-        even_rank,
-        with_exchange=False,
-    )
+    return _build(FAMILY_AG, n, _rotations(n))
 
 
 def build_splitstar(n: int) -> CayleyGraph:
     """Build S_n^2 for 3 <= n <= 7."""
     if not 3 <= n <= MAX_N_SPLIT_STAR:
         raise ValueError(f"S_n^2 supported for 3 <= n <= {MAX_N_SPLIT_STAR}, got {n}")
-    return _build(
-        FAMILY_SPLIT_STAR,
-        n,
-        math.factorial(n),
-        lambda k: unrank(k, n),
-        rank,
-        with_exchange=True,
-    )
+    return _build(FAMILY_SPLIT_STAR, n, _rotations(n) + [exchange])
 
 
 def build_family(family: str, n: int) -> CayleyGraph:

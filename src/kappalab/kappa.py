@@ -338,10 +338,12 @@ def kappa_ell_witness_search(G: BitGraph, ell: int, B: int = 1) -> KappaResult:
     V = G.vertex_count
     full = G.full_mask
     best: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+    explored = 0  # complete witness families visited
 
     def place(parts, union, nbhd, next_anchor_from, remaining):
-        nonlocal best
+        nonlocal best, explored
         if remaining == 0:
+            explored += 1
             fault_mask = nbhd & ~union
             leftover = full & ~union & ~fault_mask
             if leftover == 0:
@@ -378,7 +380,7 @@ def kappa_ell_witness_search(G: BitGraph, ell: int, B: int = 1) -> KappaResult:
         value,
         Tier.WITNESS_UPPER_BOUND,
         witness,
-        explored=0,
+        explored=explored,
         budget=0,
         k_max=value,
         part_size_bound=B,

@@ -26,7 +26,7 @@ from .connectivity import (
     mask_of,
     neighborhood,
 )
-from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, CayleyGraph, build_family
+from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, CayleyGraph, build_family, external_edge_count, out_neighbors
 from .kappa import (
     DEFAULT_BUDGET,
     level_tasks,
@@ -129,17 +129,10 @@ def verify_basic_ag(n: int, graph: CayleyGraph | None = None) -> VerificationRep
     checked = 0
     expected = math.factorial(n - 2)
 
-    part_of = [G.last_symbol(v) for v in range(G.vertex_count)]
-    pair_counts: dict[tuple[int, int], int] = {}
-    for u in range(G.vertex_count):
-        for v in G.neighbors[u]:
-            if v > u and part_of[u] != part_of[v]:
-                key = tuple(sorted((part_of[u], part_of[v])))
-                pair_counts[key] = pair_counts.get(key, 0) + 1
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             checked += 1
-            got = pair_counts.get((i, j), 0)
+            got = external_edge_count(G, i, j)
             if got != expected:
                 violations.append(
                     {"check": "external-edge-count", "parts": [i, j], "got": got,
@@ -148,11 +141,11 @@ def verify_basic_ag(n: int, graph: CayleyGraph | None = None) -> VerificationRep
 
     for v in range(G.vertex_count):
         checked += 1
-        outs = [u for u in G.neighbors[v] if part_of[u] != part_of[v]]
-        if len(outs) != 2 or part_of[outs[0]] == part_of[outs[1]]:
+        outs = out_neighbors(G, v)
+        if len(outs) != 2 or G.last_symbol(outs[0]) == G.last_symbol(outs[1]):
             violations.append(
                 {"check": "out-neighbors", "vertex": v,
-                 "out_parts": sorted(part_of[u] for u in outs)}
+                 "out_parts": sorted(G.last_symbol(u) for u in outs)}
             )
 
     for u in range(G.vertex_count):

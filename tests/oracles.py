@@ -6,7 +6,10 @@ test.
 """
 
 import itertools
+import math
 import random
+
+from kappalab.perms import even_rank, even_unrank, exchange, rank, rot_minus, rot_plus, unrank
 
 
 def adjacency_dict(G):
@@ -82,3 +85,22 @@ def random_connected_graph(rng: random.Random, max_vertices=14):
             continue
         if len(oracle_components(adj, ())) == 1:
             return n, edges
+
+
+def oracle_cayley_graph(family, n):
+    """(neighbors, adj_masks, labels) of AG_n ("ag") or S_n^2 ("s2") by the
+    definition: label k is the unranked k-th vertex, and each neighbour is a
+    generator applied to the label as a Perm, then ranked."""
+    if family == "ag":
+        count, label_of, id_of = math.factorial(n) // 2, even_unrank, even_rank
+    else:
+        count, label_of, id_of = math.factorial(n), unrank, rank
+    labels = tuple(label_of(k, n) for k in range(count))
+    neighbors = []
+    for p in labels:
+        images = [rot(p, i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]
+        if family == "s2":
+            images.append(exchange(p))
+        neighbors.append(tuple(sorted({id_of(q) for q in images})))
+    masks = tuple(sum(1 << u for u in ns) for ns in neighbors)
+    return tuple(neighbors), masks, labels

@@ -2,10 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kappalab.cli import main
+
+TABLE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "table_reference.csv"
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +209,12 @@ class TestTable:
     def test_bad_family_usage_error(self, capsys):
         code, _ = run_cli(capsys, "table", "--families", "zz")
         assert code == 2
+
+    def test_full_table_matches_reference(self, tmp_path):
+        path = tmp_path / "table.csv"
+        code = main(["table", "--n-max", "8", "--budget", "5000", "--output", str(path)])
+        assert code == 0
+        assert path.read_bytes() == TABLE_REFERENCE.read_bytes()
 
 
 class TestEntryPoint:

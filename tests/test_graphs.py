@@ -20,6 +20,8 @@ from kappalab.graphs import (
 )
 from kappalab.perms import Perm, parity, Parity
 
+from .oracles import oracle_cayley_graph
+
 
 def bfs_distances(G, source):
     dist = {source: 0}
@@ -76,6 +78,15 @@ class TestBuildAg:
 
     def test_all_labels_even(self, ag5):
         assert all(parity(p) is Parity.EVEN for p in ag5.labels)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("ag", n) for n in range(3, 8)] + [("s2", n) for n in range(3, 7)],
+)
+def test_build_matches_ranking_oracle(family, n):
+    G = build_ag(n) if family == "ag" else build_splitstar(n)
+    assert (G.neighbors, G.adj_masks, G.labels) == oracle_cayley_graph(family, n)
 
 
 class TestBuildSplitstar:

@@ -29,6 +29,7 @@ from kappalab.kappa import (
     verify_cut,
     _connected_parts,
 )
+from kappalab.lemmas import independent_sets_containing_zero
 from kappalab.perms import Perm
 
 from .oracles import adjacency_dict, oracle_components, random_connected_graph
@@ -160,6 +161,17 @@ class TestWitnessSearch:
             == kappa_ell_exhaustive(s4, 3).value
             == 8
         )
+
+    @pytest.mark.parametrize(
+        "graph, ell, expected",
+        [("ag4", 3, 7), ("ag4", 4, 11), ("s4", 3, 18)],
+    )
+    def test_explored_counts_every_family_at_b1(self, graph, ell, expected, request):
+        # with B=1 every complete family is an independent (ell-1)-set holding 0
+        G = request.getfixturevalue(graph)
+        count = sum(1 for _ in independent_sets_containing_zero(G, ell - 1))
+        assert count == expected
+        assert kappa_ell_witness_search(G, ell, 1).explored == expected
 
     def test_monotone_nonincreasing_in_b(self, ag4):
         v1 = kappa_ell_witness_search(ag4, 3, 1).value
