@@ -8,8 +8,6 @@ is bit-identical for any ``jobs`` value, including 1.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-
 _STATE = None
 
 
@@ -36,6 +34,8 @@ class TaskRunner:
         self._pool = None
         _init_worker(state)
         if jobs > 1:
+            import multiprocessing as mp  # imported here: jobs=1 runs never need it
+
             ctx = mp.get_context("fork")
             self._pool = ctx.Pool(jobs, initializer=_init_worker, initargs=(state,))
 

@@ -34,6 +34,7 @@ from .kappa import (
 )
 from .lemmas import (
     CUT_RULES,
+    BudgetExceeded,
     rule_for,
     verify_basic_ag,
     verify_claims_123,
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
         if args.budget is None:
             args.budget = _default_budget()
         return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"kappalab: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"kappalab: {exc}", file=sys.stderr)
         return EXIT_USAGE

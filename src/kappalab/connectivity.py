@@ -105,6 +105,8 @@ def _classify_mask(adj: tuple[int, ...], comp: int) -> Shape:
         return Shape.SINGLETON
     if size == 2:
         return Shape.EDGE
+    if size > 4:
+        return Shape.OTHER
     degrees = [(adj[v] & comp).bit_count() for v in ids_of(comp)]
     edges = sum(degrees) // 2
     if size == 3:

@@ -10,7 +10,10 @@ Both families are Cayley graphs on permutations of ``1..n``:
 Generators act on positions, so the build applies each one to the symbol
 tuples as a fixed position table. Vertex ids are lex positions (among the
 even permutations for AG), equal to ``even_rank`` / ``rank``, so id 0 is
-always the identity.
+always the identity. Left multiplication relabels symbols and commutes with
+the generators, so it is a vertex-transitive group of automorphisms
+(:class:`LeftTranslations`); the subset scans use it to test only the fault
+sets through vertex 0.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "EdgeGenerator",
     "EdgeKind",
     "DecompositionIndex",
+    "LeftTranslations",
     "ParitySplit",
     "build_ag",
     "build_splitstar",
@@ -48,6 +52,7 @@ __all__ = [
     "classify_edge",
     "decompose",
     "external_edge_count",
+    "left_translations",
     "parity_split",
     "out_neighbors",
     "to_dimacs",
@@ -133,43 +138,60 @@ class CayleyGraph(BitGraph):
         return self.labels[v].symbols[-1]
 
 
-def _build(family: str, n: int, generators) -> CayleyGraph:
+def _moves(family: str, n: int) -> list:
+    """Each generator of the family as a position table on symbol tuples."""
     identity = Perm.identity(n)
+    generators = [partial(rot, i=i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]
+    if family == FAMILY_SPLIT_STAR:
+        generators.append(exchange)
     moves = []
     for g in generators:
         image = g(identity)
         if image == identity:
             raise AssertionError("generator produced a self-loop")
         moves.append(itemgetter(*(s - 1 for s in image.symbols)))
-    labels = tuple(
-        p
-        for p in map(Perm, itertools.permutations(range(1, n + 1)))
-        if family != FAMILY_AG or parity(p) is Parity.EVEN
-    )
-    id_of = {p.symbols: v for v, p in enumerate(labels)}
-    neighbors = tuple(
-        tuple(sorted({id_of[move(p.symbols)] for move in moves})) for p in labels
-    )
-    masks = tuple(sum(1 << u for u in ns) for ns in neighbors)
-    return CayleyGraph(neighbors, masks, family, n, labels)
+    return moves
 
 
-def _rotations(n: int) -> list:
-    return [partial(rot, i=i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]
+def _vertex_symbols(family: str, n: int) -> list[tuple[int, ...]]:
+    """Symbol tuples of the vertices in lex order; a vertex id is its index."""
+    perms = itertools.permutations(range(1, n + 1))
+    if family == FAMILY_SPLIT_STAR:
+        return list(perms)
+    # a permutation is even iff the digit sum of its Lehmer code is, and the
+    # codes run through this product in the same lex order as the permutations
+    codes = itertools.product(*(range(n - i) for i in range(n)))
+    return [p for p, code in zip(perms, codes) if sum(code) % 2 == 0]
+
+
+def _neighbor_ids(symbols, id_of: dict, moves) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted({id_of[move(s)] for move in moves})) for s in symbols)
+
+
+def _mask(ids) -> int:
+    return sum(1 << u for u in ids)
+
+
+def _build(family: str, n: int) -> CayleyGraph:
+    symbols = _vertex_symbols(family, n)
+    id_of = {s: v for v, s in enumerate(symbols)}
+    neighbors = _neighbor_ids(symbols, id_of, _moves(family, n))
+    masks = tuple(map(_mask, neighbors))
+    return CayleyGraph(neighbors, masks, family, n, tuple(map(Perm, symbols)))
 
 
 def build_ag(n: int) -> CayleyGraph:
     """Build AG_n for 3 <= n <= 8."""
     if not 3 <= n <= MAX_N_AG:
         raise ValueError(f"AG_n supported for 3 <= n <= {MAX_N_AG}, got {n}")
-    return _build(FAMILY_AG, n, _rotations(n))
+    return _build(FAMILY_AG, n)
 
 
 def build_splitstar(n: int) -> CayleyGraph:
     """Build S_n^2 for 3 <= n <= 7."""
     if not 3 <= n <= MAX_N_SPLIT_STAR:
         raise ValueError(f"S_n^2 supported for 3 <= n <= {MAX_N_SPLIT_STAR}, got {n}")
-    return _build(FAMILY_SPLIT_STAR, n, _rotations(n) + [exchange])
+    return _build(FAMILY_SPLIT_STAR, n)
 
 
 def build_family(family: str, n: int) -> CayleyGraph:
@@ -178,6 +200,53 @@ def build_family(family: str, n: int) -> CayleyGraph:
     if family == FAMILY_SPLIT_STAR:
         return build_splitstar(n)
     raise ValueError(f"unknown family {family!r}")
+
+
+class LeftTranslations:
+    """The left multiplications p -> h p of a Cayley graph on permutations.
+
+    Generators act on positions and h relabels symbols, so each h is an
+    automorphism. There is exactly one translation moving vertex 0 to any
+    given vertex w (h = the label of w), so every vertex set has a translate
+    through vertex 0.
+    """
+
+    def __init__(self, symbols):
+        self.symbols = symbols
+        self.id_of = {s: v for v, s in enumerate(symbols)}
+
+    def translates(self, fault) -> list[tuple[int, ...]]:
+        """h F for every label h, in vertex order (translate w maps vertex 0 to w)."""
+        # h p in one-line notation is (h[p_1 - 1], ..., h[p_n - 1])
+        relabel = [itemgetter(*(s - 1 for s in self.symbols[v])) for v in fault]
+        id_of = self.id_of
+        return [tuple(sorted(id_of[g(h)] for g in relabel)) for h in self.symbols]
+
+    def orbits(self, faults) -> tuple[tuple[int, ...], ...]:
+        """Every translate of every fault, once each, sorted by (size, ids)."""
+        found = {t for f in faults for t in self.translates(f)}
+        return tuple(sorted(found, key=lambda f: (len(f), f)))
+
+
+def left_translations(G: BitGraph) -> LeftTranslations | None:
+    """G's left translations if G is exactly AG_n or S_n^2 as built here, else None.
+
+    Checks the labels, ``neighbors`` and ``adj_masks`` against the family's
+    generators vertex by vertex, so an edited copy of a built graph, or a
+    plain BitGraph, gets None. Memory stays linear in the vertex count.
+    """
+    if not isinstance(G, CayleyGraph) or G.family not in (FAMILY_AG, FAMILY_SPLIT_STAR):
+        return None
+    symbols = [p.symbols for p in G.labels]
+    if symbols != _vertex_symbols(G.family, G.n):
+        return None
+    translations = LeftTranslations(symbols)
+    neighbors = _neighbor_ids(symbols, translations.id_of, _moves(G.family, G.n))
+    if G.neighbors != neighbors or any(
+        m != _mask(ns) for m, ns in zip(G.adj_masks, neighbors)
+    ):
+        return None
+    return translations
 
 
 class EdgeLocality(Enum):

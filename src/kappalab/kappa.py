@@ -19,7 +19,11 @@ cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine:
 :func:`level_tasks` splits a level into jobs-independent tasks,
 :func:`lex_fault_masks` enumerates a task's fault masks in lex order, and
 :func:`scan_hits` passes each through the component kernel and yields those
-leaving enough components.
+leaving enough components. On a graph that :func:`left_translations` accepts,
+:func:`scan_tasks` keeps only the fault sets through vertex 0, one per orbit
+position; :func:`orbit_total` turns their counts back into counts over all
+fault sets. ``explored`` and ``scanned`` count the subsets covered,
+``evaluated`` the subsets tested.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .connectivity import (
     mask_of,
     neighborhood_mask,
 )
-from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, BitGraph, CayleyGraph
+from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, BitGraph, CayleyGraph, left_translations
 from .perms import Perm, rot_minus, rot_plus
 
 DEFAULT_BUDGET = 10**8  # explored-subset cap, not wall time
@@ -62,6 +66,8 @@ __all__ = [
     "hyper_connectivity_scan",
     "comb_lex_rank",
     "level_tasks",
+    "scan_tasks",
+    "orbit_total",
     "lex_fault_masks",
     "scan_hits",
 ]
@@ -158,6 +164,7 @@ class KappaResult:
     k_max: int
     inconclusive_above: int | None = None  # set only when the budget stopped the scan
     part_size_bound: int | None = None  # witness tier's B
+    evaluated: int | None = None  # subsets the exhaustive tier tested; not in JSON
 
     @property
     def inconclusive(self) -> bool:
@@ -208,6 +215,35 @@ def level_tasks(V: int, k: int, target: int = 200_000) -> list[tuple[tuple[int, 
     return tasks
 
 
+def scan_tasks(V: int, k: int, pinned: bool) -> list[tuple[int, tuple[int, ...], int]]:
+    """The ``(k, prefix, start)`` tasks of a level-k scan, in lex order.
+
+    ``pinned`` (k >= 1) keeps the k-sets containing vertex 0: the first
+    ``C(V-1, k-1)`` sets of the level in lex order, split like level k-1 of
+    the other V-1 vertices.
+    """
+    if pinned and k:
+        return [
+            (k, (0,) + tuple(v + 1 for v in prefix), start + 1)
+            for prefix, start in level_tasks(V - 1, k - 1)
+        ]
+    return [(k, prefix, start) for prefix, start in level_tasks(V, k)]
+
+
+def orbit_total(weighted: int, k: int) -> int:
+    """Number of k-sets with a property, from a pinned scan.
+
+    ``weighted`` sums, over the k-sets F through vertex 0, how many of the V
+    translates of F have the property. Every k-set is the translate of a set
+    through vertex 0 in exactly k ways, one per member, so the count is
+    ``weighted / k``; a remainder means the translations were not automorphisms.
+    """
+    total, rest = divmod(weighted, k)
+    if rest:
+        raise AssertionError(f"pinned count {weighted} is not a multiple of {k}")
+    return total
+
+
 def lex_fault_masks(V: int, k: int, prefix: tuple[int, ...], start: int):
     """Fault masks of the level-task ``(k, prefix, start)``, in lex order.
 
@@ -256,13 +292,18 @@ def kappa_ell_exhaustive(
     without enumeration. A level is only scanned when it fits the remaining
     subset budget whole; otherwise the result is inconclusive above the last
     completed level.
+
+    On AG_n and S_n^2 a level k >= 1 tests only the k-sets through vertex 0:
+    a translate of any cut through 0 is a cut, and those sets come first in
+    lex order, so the witness and ``explored`` are those of the full scan.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     V = G.vertex_count
     rule_k = max(V - ell + 1, 0)
     cap = rule_k if k_max is None else min(k_max, rule_k)
-    explored = 0
+    explored = evaluated = 0
+    pinned = left_translations(G) is not None
     state = {"adj": G.adj_masks, "full": G.full_mask, "ell": ell}
     with TaskRunner(jobs, state) as runner:
         for k in range(cap + 1):
@@ -271,25 +312,32 @@ def kappa_ell_exhaustive(
                 witness = verify_cut(G, fault, ell)
                 assert isinstance(witness, CutWitness)
                 return KappaResult(
-                    ell, k, Tier.RULE_FEWER_THAN_ELL, witness, explored, budget, cap
+                    ell, k, Tier.RULE_FEWER_THAN_ELL, witness, explored, budget, cap,
+                    evaluated=evaluated,
                 )
             level = math.comb(V, k)
             if explored + level > budget:
                 return KappaResult(
                     ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap,
-                    inconclusive_above=k - 1,
+                    inconclusive_above=k - 1, evaluated=evaluated,
                 )
-            tasks = [(k, prefix, start) for prefix, start in level_tasks(V, k)]
-            hit = runner.first_hit(_scan_level_worker, tasks)
+            hit = runner.first_hit(_scan_level_worker, scan_tasks(V, k, pinned))
             if hit is not None:
-                explored += comb_lex_rank(hit, V) + 1
+                # a pinned hit holds vertex 0, so its lex rank is the same in both scans
+                before_hit = comb_lex_rank(hit, V) + 1
+                explored += before_hit
+                evaluated += before_hit
                 witness = verify_cut(G, hit, ell)
                 assert isinstance(witness, CutWitness)
                 return KappaResult(
-                    ell, k, Tier.EXHAUSTIVE, witness, explored, budget, cap
+                    ell, k, Tier.EXHAUSTIVE, witness, explored, budget, cap,
+                    evaluated=evaluated,
                 )
             explored += level
-    return KappaResult(ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap)
+            evaluated += math.comb(V - 1, k - 1) if pinned and k else level
+    return KappaResult(
+        ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap, evaluated=evaluated
+    )
 
 
 def _connected_parts(adj, anchor: int, max_size: int, banned: int):
@@ -542,11 +590,12 @@ class HyperScanReport:
     """Census of all fault sets of size kappa(G)."""
 
     kappa: int
-    scanned: int
+    scanned: int  # subsets covered
     disconnecting: int
     singleton_cuts: int  # cuts leaving exactly two components, one a singleton
     exceptional: tuple[tuple[int, ...], ...]  # every other disconnecting cut
     inconclusive: bool = False
+    evaluated: int = 0  # subsets tested; not in JSON
 
     @property
     def hyper_connected(self) -> bool:
@@ -592,17 +641,28 @@ def hyper_connectivity_scan(
     """Scan every |F| = kappa subset; classify all disconnecting ones.
 
     ``kappa`` is the known connectivity (callers may pass
-    :func:`~kappalab.connectivity.vertex_connectivity`).
+    :func:`~kappalab.connectivity.vertex_connectivity`). On AG_n and S_n^2
+    only the subsets through vertex 0 are tested; the counts are scaled to
+    all subsets and the exceptional cuts expanded to their orbits.
     """
     V = G.vertex_count
     total = math.comb(V, kappa)
     if total > budget:
         return HyperScanReport(kappa, 0, 0, 0, (), inconclusive=True)
+    translations = left_translations(G) if kappa else None
+    tasks = scan_tasks(V, kappa, translations is not None)
     state = {"adj": G.adj_masks, "full": G.full_mask}
-    tasks = [(kappa, prefix, start) for prefix, start in level_tasks(V, kappa)]
     with TaskRunner(jobs, state) as runner:
         results = runner.map(_hyper_scan_worker, tasks)
     disconnecting = sum(r[0] for r in results)
     singletons = sum(r[1] for r in results)
     exceptional = tuple(f for r in results for f in r[2])
-    return HyperScanReport(kappa, total, disconnecting, singletons, exceptional)
+    evaluated = total
+    if translations is not None:
+        disconnecting = orbit_total(V * disconnecting, kappa)
+        singletons = orbit_total(V * singletons, kappa)
+        exceptional = translations.orbits(exceptional)
+        evaluated = math.comb(V - 1, kappa - 1)
+    return HyperScanReport(
+        kappa, total, disconnecting, singletons, exceptional, evaluated=evaluated
+    )

@@ -26,19 +26,29 @@ from .connectivity import (
     mask_of,
     neighborhood,
 )
-from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, CayleyGraph, build_family, external_edge_count, out_neighbors
+from .graphs import (
+    FAMILY_AG,
+    FAMILY_SPLIT_STAR,
+    CayleyGraph,
+    build_family,
+    external_edge_count,
+    left_translations,
+    out_neighbors,
+)
 from .kappa import (
     DEFAULT_BUDGET,
-    level_tasks,
     lex_fault_masks,
+    orbit_total,
     remark_independent_set,
     scan_hits,
+    scan_tasks,
 )
 from .perms import Perm, exchange, rot_minus, rot_plus
 
 SAMPLE_CHUNKS = 64  # fixed partition of sampled trials; independent of jobs
 
 __all__ = [
+    "BudgetExceeded",
     "VerificationReport",
     "CutStructureRule",
     "CUT_RULES",
@@ -70,6 +80,7 @@ class VerificationReport:
     # disconnecting faults, plus the faults hitting an exceptional clause
     outcome_counts: tuple[tuple[str, int], ...] = ()
     exceptional_faults: tuple[tuple[int, ...], ...] = ()
+    evaluated: int | None = None  # subsets a census tested; not in JSON
 
     @property
     def consistent(self) -> bool:
@@ -102,6 +113,10 @@ class VerificationReport:
 
 
 PIN_NOTE = "independent sets pinned to contain the identity (vertex-transitivity)"
+
+
+class BudgetExceeded(ValueError):
+    """An exhaustive census would cover more subsets than its budget allows."""
 
 
 def _resolve_graph(family: str, n: int, graph: CayleyGraph | None) -> CayleyGraph:
@@ -553,36 +568,51 @@ def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
     raise ValueError(f"no cut-structure rule for family={family}, n={n}, bound={bound}")
 
 
-def _examine_fault(G, rule, exceptional, fault, fsize, violations, outcomes, exc_faults):
-    report = components(G, fault)
-    sig = _signature(report)
-    outcomes[sig] = outcomes.get(sig, 0) + 1
-    if not rule(G, report, fsize):
-        violations.append(_violation_payload(G, report))
-    elif exceptional is not None and exceptional(report):
-        exc_faults.append(report.fault)
-
-
 def _census(faults, fsize):
-    """Examine every disconnecting fault of ``faults`` against the rule."""
+    """Examine every disconnecting fault of ``faults`` against the rule.
+
+    Returns the fault size, the violating faults, the outcome tally and the
+    exceptional faults. With ``translations`` in the state the faults hold
+    vertex 0 and each stands for its V translates: the tally counts
+    translates (see :func:`~kappalab.kappa.orbit_total`) and the fault lists
+    hold every translate. Registered rules read only translation-invariant
+    facts of the components in report order; that order breaks ties between
+    equal sizes by vertex id, so a fault with such a tie has each translate
+    examined on its own.
+    """
     state = worker_state()
-    G = state["graph"]
-    violations: list[dict] = []
+    G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
+    translations = state["translations"]
+    violations: list[tuple[int, ...]] = []
     outcomes: dict[str, int] = {}
     exc_faults: list[tuple[int, ...]] = []
+
+    def tally(report, weight, orbit):
+        sig = _signature(report)
+        outcomes[sig] = outcomes.get(sig, 0) + weight
+        if not rule(G, report, fsize):
+            found = violations
+        elif exceptional is not None and exceptional(report):
+            found = exc_faults
+        else:
+            return
+        found.extend(translations.translates(report.fault) if orbit else [report.fault])
+
     for fm, _ in scan_hits(G.adj_masks, G.full_mask, faults, 2, 2):
-        _examine_fault(
-            G, state["rule"], state["exceptional"], ids_of(fm), fsize,
-            violations, outcomes, exc_faults,
-        )
-    return violations, outcomes, exc_faults
+        report = components(G, ids_of(fm))
+        if translations is None:
+            tally(report, 1, False)
+        elif len(set(report.sizes())) == report.count:
+            tally(report, G.vertex_count, True)
+        else:
+            for f in translations.translates(report.fault):
+                tally(components(G, f), 1, False)
+    return fsize, violations, outcomes, exc_faults
 
 
 def _census_worker(task):
-    k, prefix, start = task
     V = worker_state()["graph"].vertex_count
-    checked = math.comb(V - start, k - len(prefix))
-    return (checked, *_census(lex_fault_masks(V, *task), k))
+    return _census(lex_fault_masks(V, *task), task[0])
 
 
 def _sampled_census_worker(task):
@@ -592,7 +622,7 @@ def _sampled_census_worker(task):
     faults = _sampled_fault_masks(
         state["seed"], chunk, trials, state["graph"].vertex_count, size
     )
-    return (trials, *_census(faults, size))
+    return _census(faults, size)
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:
@@ -623,6 +653,12 @@ def verify_cut_structure(
     removal disconnects the graph must satisfy ``allowed``; all others are
     skipped. ``allowed`` may be a rule key, a rule object, or a predicate
     ``(graph, report, fault_size) -> bool``.
+
+    An exhaustive census of a registered rule on AG_n or S_n^2 tests only the
+    faults through vertex 0 (see ``_census``); ``instances_checked`` still
+    counts every fault covered, and the fault lists come out sorted by
+    (size, ids), the order of the full scan. Custom predicates, edited graphs
+    and sampled runs examine every fault they cover.
     """
     exceptional = None
     if isinstance(allowed, str):
@@ -635,42 +671,51 @@ def verify_cut_structure(
         rule_fn = allowed
         lemma_id = lemma_id or "cut-structure"
     V = G.vertex_count
+    state = {
+        "graph": G, "rule": rule_fn, "exceptional": exceptional,
+        "translations": None, "size": size_bound, "seed": seed,
+    }
 
-    def merge(results, checked, mode_name, report_trials=None):
-        violations = tuple(v for r in results for v in r[1])
+    def merge(results, checked, evaluated, mode_name, report_trials=None):
+        violations = [f for r in results for f in r[1]]
+        exc = [f for r in results for f in r[3]]
+        weighted: dict[tuple[int, str], int] = {}
+        for k, _, tally, _ in results:
+            for sig, c in tally.items():
+                weighted[k, sig] = weighted.get((k, sig), 0) + c
         outcomes: dict[str, int] = {}
-        for r in results:
-            for sig, c in r[2].items():
-                outcomes[sig] = outcomes.get(sig, 0) + c
-        exc = tuple(f for r in results for f in r[3])
+        for (k, sig), c in weighted.items():
+            if state["translations"] is not None and k:
+                c = orbit_total(c, k)
+            outcomes[sig] = outcomes.get(sig, 0) + c
+        if state["translations"] is not None:
+            violations = sorted(set(violations), key=lambda f: (len(f), f))
+            exc = sorted(set(exc), key=lambda f: (len(f), f))
         return VerificationReport(
-            lemma_id, G.family, G.n, mode_name, checked, violations,
+            lemma_id, G.family, G.n, mode_name, checked,
+            tuple(_violation_payload(G, components(G, f)) for f in violations),
             trials=report_trials, seed=None if report_trials is None else seed,
             outcome_counts=tuple(sorted(outcomes.items())),
-            exceptional_faults=exc,
+            exceptional_faults=tuple(exc),
+            evaluated=evaluated,
         )
 
     if mode == "exhaustive":
         total = sum(math.comb(V, k) for k in range(size_bound + 1))
         if total > budget:
-            raise ValueError(
+            raise BudgetExceeded(
                 f"exhaustive census of {total} subsets exceeds budget {budget}"
             )
-        state = {"graph": G, "rule": rule_fn, "exceptional": exceptional}
-        tasks = [
-            (k, prefix, start)
-            for k in range(size_bound + 1)
-            for prefix, start in level_tasks(V, k)
-        ]
+        if isinstance(allowed, CutStructureRule) and CUT_RULES.get(allowed.key) is allowed:
+            state["translations"] = left_translations(G)
+        pinned = state["translations"] is not None
+        tasks = [t for k in range(size_bound + 1) for t in scan_tasks(V, k, pinned)]
         with TaskRunner(jobs, state) as runner:
             results = runner.map(_census_worker, tasks)
-        return merge(results, sum(r[0] for r in results), "exhaustive")
+        evaluated = sum(math.comb(V - start, k - len(prefix)) for k, prefix, start in tasks)
+        return merge(results, total, evaluated, "exhaustive")
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    state = {
-        "graph": G, "rule": rule_fn, "exceptional": exceptional,
-        "size": size_bound, "seed": seed,
-    }
     base, rem = divmod(trials, SAMPLE_CHUNKS)
     tasks = [
         (chunk, base + (1 if chunk < rem else 0))
@@ -679,7 +724,7 @@ def verify_cut_structure(
     ]
     with TaskRunner(jobs, state) as runner:
         results = runner.map(_sampled_census_worker, tasks)
-    return merge(results, sum(r[0] for r in results), "sampled", report_trials=trials)
+    return merge(results, trials, trials, "sampled", report_trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,7 @@ def test_criterion_04_ag5_hyper_connectivity(ag5):
     ok = (
         kappa == 6
         and report.scanned == math.comb(60, 6)
+        and report.evaluated == math.comb(59, 5)
         and report.hyper_connected
         and report.exceptional == ()
         and report.disconnecting == report.singleton_cuts == 60

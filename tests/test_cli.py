@@ -131,6 +131,18 @@ class TestVerify:
         assert counts["4-cycle,2-path"] == 24
         assert len(data["exceptional_faults"]) == 27
 
+    def test_over_budget_census_is_inconclusive(self, capsys):
+        code = main([
+            "verify", "--lemma", "cut-structure", "--family", "s2", "--n", "4",
+            "--bound", "8", "--budget", "100",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "kappalab: exhaustive census of 1271626 subsets exceeds budget 100\n"
+        )
+
     def test_remark_minima(self, capsys):
         code, out = run_cli(capsys, "verify", "--lemma", "remark", "--family", "ag", "--n", "6")
         assert code == 0

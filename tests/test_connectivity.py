@@ -192,6 +192,13 @@ class TestVertexConnectivity:
     def test_s5(self, s5):
         assert vertex_connectivity(s5) == 7
 
+    @pytest.mark.parametrize("graph,want", [("ag6", 8), ("s5", 7)])
+    def test_matches_networkx(self, graph, want, request):
+        nx = pytest.importorskip("networkx")
+        G = request.getfixturevalue(graph)
+        H = nx.Graph(list(G.edges()))
+        assert nx.node_connectivity(H) == vertex_connectivity(G) == want
+
     def test_complete_graph_convention(self):
         assert vertex_connectivity(complete_graph(5)) == 4
 

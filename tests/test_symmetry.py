@@ -1,0 +1,176 @@
+"""The left-translation quotient of the subset scans against the full scans.
+
+On AG_n and S_n^2 the level scan, the hyper scan and the registered
+cut-structure censuses test only the fault sets through vertex 0. The
+tests run each call a second time with the gate forced off, so that every
+fault set is tested, and require equal results.
+"""
+
+import dataclasses
+import math
+from collections import Counter
+
+import pytest
+
+from kappalab import _parallel, kappa, lemmas
+from kappalab.connectivity import components, mask_of
+from kappalab.graphs import BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations
+from kappalab.kappa import hyper_connectivity_scan, kappa_ell_exhaustive, scan_tasks
+from kappalab.lemmas import CUT_RULES, verify_cut_structure
+
+from .test_lemmas import add_edge, drop_edge
+
+
+@pytest.fixture
+def full_scan(monkeypatch):
+    """Run a scan with the quotient switched off."""
+
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(kappa, "left_translations", lambda G: None)
+            m.setattr(lemmas, "left_translations", lambda G: None)
+            return fn(*args, **kwargs)
+
+    return run
+
+
+class TestGate:
+    @pytest.mark.parametrize("build,n", [(build_ag, 3), (build_ag, 5), (build_splitstar, 4)])
+    def test_accepts_built_graphs(self, build, n):
+        assert left_translations(build(n)) is not None
+
+    def test_rejects_edited_and_plain_graphs(self, ag4, s4):
+        assert left_translations(BitGraph(ag4.neighbors, ag4.adj_masks)) is None
+        assert left_translations(drop_edge(ag4, 0, ag4.neighbors[0][0])) is None
+        assert left_translations(add_edge(s4, 0, 23)) is None
+        relabelled = CayleyGraph(ag4.neighbors, ag4.adj_masks, ag4.family, ag4.n,
+                                 ag4.labels[1:] + ag4.labels[:1])
+        assert left_translations(relabelled) is None
+        other_family = CayleyGraph(s4.neighbors, s4.adj_masks, "ag", 4, s4.labels)
+        assert left_translations(other_family) is None
+
+    def test_translates_are_automorphisms(self, s4):
+        tr = left_translations(s4)
+        edges = set(s4.edges())
+        for u, v in edges:
+            moved = zip(tr.translates((u,)), tr.translates((v,)))
+            assert {tuple(sorted((a[0], b[0]))) for a, b in moved} <= edges
+        # translate w maps vertex 0 to w, so the translates of {0} are all vertices
+        assert tr.translates((0,)) == [(w,) for w in range(24)]
+
+    def test_pinned_tasks_are_the_lex_first_sets_through_zero(self):
+        for V, k in ((12, 4), (24, 5), (60, 3)):
+            tasks = scan_tasks(V, k, True)
+            faults = [fm for t in tasks for fm in kappa.lex_fault_masks(V, *t)]
+            full = [fm for t in scan_tasks(V, k, False) for fm in kappa.lex_fault_masks(V, *t)]
+            assert faults == full[: math.comb(V - 1, k - 1)]
+            assert all(fm & 1 for fm in faults)
+
+
+class TestLevelScan:
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    def test_ag4_matches_full_scan(self, ag4, full_scan, ell):
+        pinned = kappa_ell_exhaustive(ag4, ell)
+        full = full_scan(kappa_ell_exhaustive, ag4, ell)
+        assert pinned.to_json_dict(ag4) == full.to_json_dict(ag4)
+        assert full.evaluated == full.explored
+        assert pinned.evaluated < pinned.explored
+
+    @pytest.mark.parametrize("ell,k_max", [(2, None), (3, None), (4, 7), (5, 7)])
+    def test_s4_matches_full_scan(self, s4, full_scan, ell, k_max):
+        pinned = kappa_ell_exhaustive(s4, ell, k_max=k_max, jobs=2)
+        full = full_scan(kappa_ell_exhaustive, s4, ell, k_max=k_max)
+        assert pinned.to_json_dict(s4) == full.to_json_dict(s4)
+        assert pinned.evaluated < full.evaluated == full.explored
+
+    def test_s4_ell2_counts(self, s4):
+        # kappa(S_4^2) = 5: levels 0..4 whole, level 5 up to the lex-first cut
+        r = kappa_ell_exhaustive(s4, 2)
+        assert r.value == 5 and 0 in r.witness.fault
+        before = sum(math.comb(24, k) for k in range(5))
+        pinned_before = 1 + sum(math.comb(23, k - 1) for k in range(1, 5))
+        assert r.explored - before == r.evaluated - pinned_before
+
+    def test_edited_graph_takes_full_scan(self, ag4):
+        r = kappa_ell_exhaustive(drop_edge(ag4, 0, ag4.neighbors[0][0]), 3)
+        assert r.evaluated == r.explored
+
+
+class TestHyperScan:
+    @pytest.mark.parametrize("graph,kappa_value", [("ag4", 4), ("s4", 5)])
+    def test_matches_full_scan(self, graph, kappa_value, full_scan, request):
+        G = request.getfixturevalue(graph)
+        V = G.vertex_count
+        for k in (kappa_value, kappa_value + 1):
+            pinned = hyper_connectivity_scan(G, k)
+            full = full_scan(hyper_connectivity_scan, G, k)
+            assert pinned.to_json_dict(G) == full.to_json_dict(G)
+            assert pinned.evaluated == math.comb(V - 1, k - 1)
+            assert full.evaluated == full.scanned == math.comb(V, k)
+
+    def test_edited_graph_takes_full_scan(self, ag4):
+        G = drop_edge(ag4, 0, ag4.neighbors[0][0])
+        r = hyper_connectivity_scan(G, 3)
+        assert r.evaluated == r.scanned == math.comb(12, 3)
+
+
+class TestCensus:
+    @pytest.mark.parametrize(
+        "graph,bound,rule",
+        [
+            ("ag4", 5, "ag-4n-11"),
+            ("ag4", 6, "ag-4n-11"),  # violations: their orbits are rebuilt
+            ("ag4", 9, "ag-4n-11"),
+            ("s4", 8, "s2-4n-8"),
+        ],
+    )
+    def test_matches_full_scan(self, graph, bound, rule, full_scan, request):
+        G = request.getfixturevalue(graph)
+        pinned = verify_cut_structure(G, bound, rule, jobs=2)
+        full = full_scan(verify_cut_structure, G, bound, rule)
+        assert pinned.to_json_dict() == full.to_json_dict()
+        assert full.evaluated == full.instances_checked
+        V = G.vertex_count
+        assert pinned.evaluated == 1 + sum(math.comb(V - 1, k - 1) for k in range(1, bound + 1))
+        if bound == 6:
+            assert pinned.violations
+
+    @pytest.mark.parametrize("rule", sorted(CUT_RULES))
+    def test_every_registered_rule(self, rule, ag4, s4, full_scan):
+        G = {"ag": ag4, "s2": s4}[CUT_RULES[rule].family]
+        pinned = verify_cut_structure(G, 6, rule)
+        full = full_scan(verify_cut_structure, G, 6, rule)
+        assert pinned.to_json_dict() == full.to_json_dict()
+        assert sum(c for _, c in pinned.outcome_counts) > 0
+
+    def test_custom_predicate_and_edited_graph_take_full_scan(self, ag4):
+        r = verify_cut_structure(ag4, 4, lambda G, rep, fsize: rep.count == 2)
+        assert r.evaluated == r.instances_checked
+        unregistered = dataclasses.replace(CUT_RULES["ag-4n-11"])
+        r = verify_cut_structure(ag4, 4, unregistered)
+        assert r.evaluated == r.instances_checked
+        r = verify_cut_structure(drop_edge(ag4, 0, ag4.neighbors[0][0]), 4, "ag-4n-11")
+        assert r.evaluated == r.instances_checked
+
+    def test_size_ties_are_examined_per_translate(self, s4):
+        # On S_4^2 this 13-fault leaves a 4-cycle and an "other" component of
+        # the same size; report order breaks that tie by vertex id, so the
+        # outcome signature is not the same on every translate. Over one
+        # orbit, the tallies of its members through vertex 0 must sum to
+        # k times the tally of the whole orbit.
+        fault = (1, 3, 4, 6, 10, 11, 12, 14, 15, 16, 17, 19, 22)
+        tr = left_translations(s4)
+        orbit = sorted(set(tr.translates(fault)))
+        signatures = {lemmas._signature(components(s4, f)) for f in orbit}
+        assert len(signatures) > 1
+        state = {"graph": s4, "rule": CUT_RULES["s2-4n-8"].allowed, "exceptional": None}
+        try:
+            _parallel._init_worker({**state, "translations": tr})
+            _, _, weighted, _ = lemmas._census(
+                (mask_of(f) for f in orbit if 0 in f), len(fault)
+            )
+            _parallel._init_worker({**state, "translations": None})
+            _, _, plain, _ = lemmas._census((mask_of(f) for f in orbit), len(fault))
+        finally:
+            _parallel._init_worker(None)
+        assert Counter(weighted) == Counter({s: len(fault) * c for s, c in plain.items()})
