@@ -2,11 +2,13 @@
 vertex connectivity.
 
 Everything here operates on bitmask adjacency (``BitGraph.adj_masks``) so the
-solvers can call the component routines tens of millions of times without
-materializing vertex sets. One breadth-first kernel, :func:`component_masks`,
-finds components; :func:`count_components`, :func:`is_connected_after` and
-:func:`components` are thin views of it. Vertex sets cross the API boundary
-as plain iterables of ids and come back as sorted tuples or frozensets.
+solvers can test tens of millions of fault sets without materializing vertex
+sets. :func:`disconnected_lanes` decides connectivity for a whole batch of
+fault sets at once, one bit lane per fault; the subset scans use it as a
+filter. :func:`component_masks` is the one routine that returns components:
+:func:`count_components`, :func:`is_connected_after` and :func:`components`
+are thin views of it. Vertex sets cross the API boundary as plain iterables
+of ids and come back as sorted tuples or frozensets.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "ComponentReport",
     "components",
     "component_masks",
+    "disconnected_lanes",
     "count_components",
     "is_connected_after",
     "neighborhood",
@@ -56,8 +59,8 @@ def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[in
     """Connected components of the subgraph induced by ``alive``, as masks.
 
     Components come in order of their lowest vertex id; with ``limit`` > 0
-    only the first ``limit`` of them are found. This is the one component
-    kernel: every count and connectivity test in the package runs through it.
+    only the first ``limit`` of them are found. This is the one routine that
+    finds components: every count and component report runs through it.
     """
     comps = []
     remaining = alive
@@ -78,6 +81,51 @@ def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[in
         if len(comps) == limit:
             break
     return comps
+
+
+def disconnected_lanes(neighbors: tuple[tuple[int, ...], ...], masks: list[int]) -> int:
+    """Bit j is set iff G - ``masks[j]`` has at least two components.
+
+    G has the vertices ``0..len(neighbors)-1`` and the adjacency lists
+    ``neighbors``; each mask is a set of those vertices. The batch is
+    transposed into one int per vertex whose bit j says the vertex survives
+    fault j, so every big-int operation below acts on all faults at once.
+    Each lane is seeded at its lowest surviving vertex and reachability is
+    relaxed along the edges until no lane changes; a surviving vertex left
+    unreached means a second component.
+    """
+    if not masks:
+        return 0
+    V = len(neighbors)
+    nbytes = (V + 7) // 8  # per fault in the packed batch
+    stride = 8 * nbytes
+    lanes = (1 << len(masks)) - 1
+    packed = int.from_bytes(b"".join([m.to_bytes(nbytes, "little") for m in masks]), "little")
+    # bit v of fault j is bit j * stride + v of packed; its binary text is most
+    # significant first, so the slice below reads the faults last to first and
+    # int() puts fault j at bit j
+    bits = format(packed, f"0{len(masks) * stride}b")
+    alive = [lanes ^ int(bits[stride - 1 - v :: stride], 2) for v in range(V)]
+    reach = []
+    seen = 0
+    for a in alive:
+        reach.append(a & ~seen)
+        seen |= a
+    changed = True
+    while changed:
+        changed = False
+        for v, ns in enumerate(neighbors):
+            r = reach[v]
+            for u in ns:
+                r |= reach[u]
+            r &= alive[v]
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+    out = 0
+    for a, r in zip(alive, reach):
+        out |= a ^ r  # r is a subset of a
+    return out
 
 
 def count_components(adj: tuple[int, ...], alive: int, stop_at: int = 0) -> int:

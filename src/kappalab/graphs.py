@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterator
 
@@ -137,6 +137,22 @@ class CayleyGraph(BitGraph):
     def last_symbol(self, v: int) -> int:
         return self.labels[v].symbols[-1]
 
+    @cached_property
+    def translations(self) -> LeftTranslations | None:
+        """:func:`left_translations` of this graph, checked on first use only."""
+        if self.family not in (FAMILY_AG, FAMILY_SPLIT_STAR):
+            return None
+        symbols = [p.symbols for p in self.labels]
+        if symbols != _vertex_symbols(self.family, self.n):
+            return None
+        translations = LeftTranslations(symbols)
+        neighbors = _neighbor_ids(symbols, translations.id_of, _moves(self.family, self.n))
+        if self.neighbors != neighbors or any(
+            m != _mask(ns) for m, ns in zip(self.adj_masks, neighbors)
+        ):
+            return None
+        return translations
+
 
 def _moves(family: str, n: int) -> list:
     """Each generator of the family as a position table on symbol tuples."""
@@ -233,20 +249,11 @@ def left_translations(G: BitGraph) -> LeftTranslations | None:
 
     Checks the labels, ``neighbors`` and ``adj_masks`` against the family's
     generators vertex by vertex, so an edited copy of a built graph, or a
-    plain BitGraph, gets None. Memory stays linear in the vertex count.
+    plain BitGraph, gets None. Memory stays linear in the vertex count. The
+    graph is immutable, so the answer is kept on it (``CayleyGraph.translations``)
+    and later scans of the same graph object do not check again.
     """
-    if not isinstance(G, CayleyGraph) or G.family not in (FAMILY_AG, FAMILY_SPLIT_STAR):
-        return None
-    symbols = [p.symbols for p in G.labels]
-    if symbols != _vertex_symbols(G.family, G.n):
-        return None
-    translations = LeftTranslations(symbols)
-    neighbors = _neighbor_ids(symbols, translations.id_of, _moves(G.family, G.n))
-    if G.neighbors != neighbors or any(
-        m != _mask(ns) for m, ns in zip(G.adj_masks, neighbors)
-    ):
-        return None
-    return translations
+    return G.translations if isinstance(G, CayleyGraph) else None
 
 
 class EdgeLocality(Enum):

@@ -18,12 +18,13 @@ Every subset scan (the exhaustive tier, the hyper scan and the
 cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine:
 :func:`level_tasks` splits a level into jobs-independent tasks,
 :func:`lex_fault_masks` enumerates a task's fault masks in lex order, and
-:func:`scan_hits` passes each through the component kernel and yields those
-leaving enough components. On a graph that :func:`left_translations` accepts,
-:func:`scan_tasks` keeps only the fault sets through vertex 0, one per orbit
-position; :func:`orbit_total` turns their counts back into counts over all
-fault sets. ``explored`` and ``scanned`` count the subsets covered,
-``evaluated`` the subsets tested.
+:func:`scan_hits` tests them in batches with
+:func:`~kappalab.connectivity.disconnected_lanes` and yields, with their
+components, those leaving enough components. On a graph that
+:func:`left_translations` accepts, :func:`scan_tasks` keeps only the fault
+sets through vertex 0, one per orbit position; :func:`orbit_total` turns
+their counts back into counts over all fault sets. ``explored`` and
+``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .connectivity import (
     ComponentReport,
     component_masks,
     components,
+    disconnected_lanes,
     ids_of,
     is_connected_after,
     mask_of,
@@ -47,6 +49,7 @@ from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, BitGraph, CayleyGraph, left_tr
 from .perms import Perm, rot_minus, rot_plus
 
 DEFAULT_BUDGET = 10**8  # explored-subset cap, not wall time
+SCAN_BATCH = 2048  # fault masks per disconnected_lanes call in scan_hits
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -255,25 +258,36 @@ def lex_fault_masks(V: int, k: int, prefix: tuple[int, ...], start: int):
         yield pmask + sum(comb)
 
 
-def scan_hits(adj: tuple[int, ...], full: int, faults, need: int, limit: int):
+def scan_hits(G: BitGraph, faults, need: int, limit: int):
     """``(fault_mask, comps)`` for each fault leaving at least ``need`` components.
 
     ``comps`` holds the first ``limit`` components of G - F (0: all of them).
     This is the one subset-scan engine: the level scan, the hyper scan and
-    both cut-structure censuses are reducers over its hits.
+    both cut-structure censuses are reducers over its hits. Faults are tested
+    ``SCAN_BATCH`` at a time by :func:`disconnected_lanes`; only the
+    disconnected ones reach :func:`component_masks`, in the order given, so
+    ``need`` must be at least 2.
     """
-    for fm in faults:
-        comps = component_masks(adj, full ^ fm, limit)
-        if len(comps) >= need:
-            yield fm, comps
+    if need < 2:
+        raise ValueError("need must be >= 2")
+    adj, full = G.adj_masks, G.full_mask
+    faults = iter(faults)
+    while batch := list(itertools.islice(faults, SCAN_BATCH)):
+        flagged = disconnected_lanes(G.neighbors, batch)
+        while flagged:
+            low = flagged & -flagged
+            flagged ^= low
+            fm = batch[low.bit_length() - 1]
+            comps = component_masks(adj, full ^ fm, limit)
+            if len(comps) >= need:
+                yield fm, comps
 
 
 def _scan_level_worker(task):
     """First F (lex order) in this task's range with >= ell components."""
     state = worker_state()
-    adj, ell = state["adj"], state["ell"]
-    faults = lex_fault_masks(len(adj), *task)
-    for fm, _ in scan_hits(adj, state["full"], faults, ell, ell):
+    G, ell = state["graph"], state["ell"]
+    for fm, _ in scan_hits(G, lex_fault_masks(G.vertex_count, *task), ell, ell):
         return ids_of(fm)
     return None
 
@@ -304,7 +318,7 @@ def kappa_ell_exhaustive(
     cap = rule_k if k_max is None else min(k_max, rule_k)
     explored = evaluated = 0
     pinned = left_translations(G) is not None
-    state = {"adj": G.adj_masks, "full": G.full_mask, "ell": ell}
+    state = {"graph": G, "ell": ell}
     with TaskRunner(jobs, state) as runner:
         for k in range(cap + 1):
             if k == rule_k:
@@ -616,14 +630,12 @@ class HyperScanReport:
 
 
 def _hyper_scan_worker(task):
-    state = worker_state()
-    adj = state["adj"]
-    faults = lex_fault_masks(len(adj), *task)
+    G = worker_state()["graph"]
     disconnecting = 0
     singletons = 0
     exceptional = []
     # limit 3 tells "exactly two components" apart from "three or more"
-    for fm, comps in scan_hits(adj, state["full"], faults, 2, 3):
+    for fm, comps in scan_hits(G, lex_fault_masks(G.vertex_count, *task), 2, 3):
         disconnecting += 1
         if len(comps) == 2 and min(c.bit_count() for c in comps) == 1:
             singletons += 1
@@ -651,8 +663,7 @@ def hyper_connectivity_scan(
         return HyperScanReport(kappa, 0, 0, 0, (), inconclusive=True)
     translations = left_translations(G) if kappa else None
     tasks = scan_tasks(V, kappa, translations is not None)
-    state = {"adj": G.adj_masks, "full": G.full_mask}
-    with TaskRunner(jobs, state) as runner:
+    with TaskRunner(jobs, {"graph": G}) as runner:
         results = runner.map(_hyper_scan_worker, tasks)
     disconnecting = sum(r[0] for r in results)
     singletons = sum(r[1] for r in results)

@@ -598,7 +598,7 @@ def _census(faults, fsize):
             return
         found.extend(translations.translates(report.fault) if orbit else [report.fault])
 
-    for fm, _ in scan_hits(G.adj_masks, G.full_mask, faults, 2, 2):
+    for fm, _ in scan_hits(G, faults, 2, 2):
         report = components(G, ids_of(fm))
         if translations is None:
             tally(report, 1, False)

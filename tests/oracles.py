@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 
+from kappalab.graphs import BitGraph
 from kappalab.perms import even_rank, even_unrank, exchange, rank, rot_minus, rot_plus, unrank
 
 
@@ -36,6 +37,15 @@ def oracle_components(adj, removed):
                     stack.append(v)
         comps.append(frozenset(comp))
     return comps
+
+
+def oracle_disconnected(G, fault_masks):
+    """For each fault mask, whether G minus it has two or more components."""
+    adj = adjacency_dict(G)
+    return [
+        len(oracle_components(adj, [v for v in adj if fm >> v & 1])) >= 2
+        for fm in fault_masks
+    ]
 
 
 def oracle_shape(adj, comp):
@@ -85,6 +95,14 @@ def random_connected_graph(rng: random.Random, max_vertices=14):
             continue
         if len(oracle_components(adj, ())) == 1:
             return n, edges
+
+
+def sparse_random_graph(rng: random.Random, n: int):
+    """A random graph on n vertices with average degree 1-4, so isolated
+    vertices and several components are common."""
+    p = rng.uniform(1, 4) / max(n - 1, 1)
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+    return BitGraph.from_edges(n, edges)
 
 
 def oracle_cayley_graph(family, n):

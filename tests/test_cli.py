@@ -240,6 +240,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "p edge 3 3"
 
+    def test_jobs1_scans_load_neither_numpy_nor_multiprocessing(self):
+        # either would add import time and memory to runs that never use it
+        code = (
+            "import sys, kappalab\n"
+            "G = kappalab.build_ag(4)\n"
+            "kappalab.kappa_ell_exhaustive(G, 3, jobs=1)\n"
+            "kappalab.hyper_connectivity_scan(G, 4, jobs=1)\n"
+            "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', jobs=1)\n"
+            "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestConfigResolution:
     def test_env_budget_override(self, capsys, monkeypatch):

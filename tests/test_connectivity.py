@@ -11,6 +11,7 @@ from kappalab.connectivity import (
     component_masks,
     components,
     count_components,
+    disconnected_lanes,
     ids_of,
     is_independent,
     mask_of,
@@ -23,8 +24,10 @@ from kappalab.perms import Perm
 from .oracles import (
     adjacency_dict,
     oracle_components,
+    oracle_disconnected,
     oracle_shape,
     random_connected_graph,
+    sparse_random_graph,
 )
 
 
@@ -84,6 +87,33 @@ class TestComponents:
     def test_rejects_out_of_range_ids(self, ag4):
         with pytest.raises(ValueError):
             components(ag4, [99])
+
+
+class TestDisconnectedLanes:
+    @pytest.mark.parametrize("V", [1, 7, 8, 9, 24, 63, 64, 65, 120])
+    def test_matches_oracle_on_random_graphs(self, V):
+        rng = random.Random(V)
+        full = (1 << V) - 1
+        for _ in range(6):
+            G = sparse_random_graph(rng, V)
+            faults = [0, full] + [
+                mask_of(rng.sample(range(V), rng.randint(0, V))) for _ in range(40)
+            ]
+            lanes = disconnected_lanes(G.neighbors, faults)
+            assert [bool(lanes >> j & 1) for j in range(len(faults))] == oracle_disconnected(
+                G, faults
+            )
+            assert lanes >> len(faults) == 0
+
+    def test_isolated_vertices_and_disconnected_graphs(self):
+        empty = BitGraph.from_edges(5, [])
+        # no edges: two or more survivors are always disconnected
+        faults = [0, 0b11110, 0b11100, 0b11111]
+        assert disconnected_lanes(empty.neighbors, faults) == 0b0101
+        two_triangles = BitGraph.from_edges(6, [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1)])
+        faults = [0, 0b010101, 0b101010, 0b000011, 0b111111]
+        assert disconnected_lanes(two_triangles.neighbors, faults) == 0b01001
+        assert disconnected_lanes(two_triangles.neighbors, []) == 0
 
 
 class TestShapes:

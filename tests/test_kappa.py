@@ -6,6 +6,7 @@ import pytest
 
 from kappalab.connectivity import (
     common_neighbors,
+    component_masks,
     components,
     is_connected_after,
     is_independent,
@@ -15,6 +16,7 @@ from kappalab.connectivity import (
 )
 from kappalab.graphs import BitGraph, build_splitstar
 from kappalab.kappa import (
+    SCAN_BATCH,
     CutRefusal,
     CutWitness,
     Tier,
@@ -26,13 +28,20 @@ from kappalab.kappa import (
     kappa_ell_witness_search,
     level_tasks,
     remark_independent_set,
+    scan_hits,
     verify_cut,
     _connected_parts,
 )
 from kappalab.lemmas import independent_sets_containing_zero
 from kappalab.perms import Perm
 
-from .oracles import adjacency_dict, oracle_components, random_connected_graph
+from .oracles import (
+    adjacency_dict,
+    oracle_components,
+    oracle_disconnected,
+    random_connected_graph,
+    sparse_random_graph,
+)
 
 
 def vids(G, *texts):
@@ -405,6 +414,27 @@ class TestHyperScan:
                 seen_singleton |= singletons > 0
                 seen_exceptional |= bool(exceptional)
         assert seen_singleton and seen_exceptional
+
+
+class TestScanHits:
+    @pytest.mark.parametrize("count", [1, SCAN_BATCH - 1, SCAN_BATCH, SCAN_BATCH + 1])
+    def test_matches_component_masks_loop(self, count):
+        rng = random.Random(count)
+        G = sparse_random_graph(rng, 24)
+        faults = [mask_of(rng.sample(range(24), rng.randint(0, 24))) for _ in range(count)]
+        for need, limit in ((2, 2), (2, 3), (3, 0)):
+            want = []
+            for fm in faults:
+                comps = component_masks(G.adj_masks, G.full_mask ^ fm, limit)
+                if len(comps) >= need:
+                    want.append((fm, comps))
+            assert list(scan_hits(G, faults, need, limit)) == want
+        hits = {fm for fm, _ in scan_hits(G, iter(faults), 2, 2)}
+        assert [fm in hits for fm in faults] == oracle_disconnected(G, faults)
+
+    def test_rejects_need_below_two(self, ag4):
+        with pytest.raises(ValueError):
+            list(scan_hits(ag4, [0], 1, 0))
 
 
 class TestAg4EightCutCensus:

@@ -49,6 +49,14 @@ class TestGate:
         other_family = CayleyGraph(s4.neighbors, s4.adj_masks, "ag", 4, s4.labels)
         assert left_translations(other_family) is None
 
+    def test_answer_is_kept_on_the_graph(self):
+        G = build_ag(4)
+        tr = left_translations(G)
+        assert tr is not None and left_translations(G) is tr
+        # copies made after the answer was kept must still be checked afresh
+        assert left_translations(drop_edge(G, 0, G.neighbors[0][0])) is None
+        assert left_translations(dataclasses.replace(G, labels=G.labels[::-1])) is None
+
     def test_translates_are_automorphisms(self, s4):
         tr = left_translations(s4)
         edges = set(s4.edges())
@@ -90,6 +98,13 @@ class TestLevelScan:
         before = sum(math.comb(24, k) for k in range(5))
         pinned_before = 1 + sum(math.comb(23, k - 1) for k in range(1, 5))
         assert r.explored - before == r.evaluated - pinned_before
+
+    def test_ag5_ell2_matches_full_scan(self, ag5, full_scan):
+        pinned = kappa_ell_exhaustive(ag5, 2, jobs=2)
+        full = full_scan(kappa_ell_exhaustive, ag5, 2, jobs=2)
+        assert pinned.to_json_dict(ag5) == full.to_json_dict(ag5)
+        assert (pinned.value, full.evaluated) == (6, 7_290_661)
+        assert pinned.evaluated == 1_794_870
 
     def test_edited_graph_takes_full_scan(self, ag4):
         r = kappa_ell_exhaustive(drop_edge(ag4, 0, ag4.neighbors[0][0]), 3)
@@ -134,6 +149,13 @@ class TestCensus:
         assert pinned.evaluated == 1 + sum(math.comb(V - 1, k - 1) for k in range(1, bound + 1))
         if bound == 6:
             assert pinned.violations
+
+    def test_ag5_ag4n11_bound5_matches_full_scan(self, ag5, full_scan):
+        pinned = verify_cut_structure(ag5, 5, "ag-4n-11", jobs=2)
+        full = full_scan(verify_cut_structure, ag5, 5, "ag-4n-11", jobs=2)
+        assert pinned.to_json_dict() == full.to_json_dict()
+        assert pinned.instances_checked == full.evaluated == 5_985_198
+        assert pinned.evaluated == 489_407
 
     @pytest.mark.parametrize("rule", sorted(CUT_RULES))
     def test_every_registered_rule(self, rule, ag4, s4, full_scan):
