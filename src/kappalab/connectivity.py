@@ -7,8 +7,9 @@ sets. :func:`disconnected_lanes` decides connectivity for a whole batch of
 fault sets at once, one bit lane per fault; the subset scans use it as a
 filter. :func:`component_masks` is the one routine that returns components:
 :func:`count_components`, :func:`is_connected_after` and :func:`components`
-are thin views of it. Vertex sets cross the API boundary as plain iterables
-of ids and come back as sorted tuples or frozensets.
+are thin views of it; :func:`component_report` sorts and classifies its masks.
+Vertex sets cross the API boundary as plain iterables of ids and come back as
+sorted tuples or frozensets.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "FaultSet",
     "ComponentReport",
     "components",
+    "component_report",
     "component_masks",
     "disconnected_lanes",
     "count_components",
@@ -229,14 +231,18 @@ class ComponentReport:
         }
 
 
+def component_report(adj: tuple[int, ...], fault: tuple[int, ...], masks) -> ComponentReport:
+    """The report of G - ``fault`` from all of its component masks."""
+    masks = sorted(masks, key=lambda m: (-m.bit_count(), m & -m))
+    comps = tuple(ids_of(m) for m in masks)
+    shapes = tuple(_classify_mask(adj, m) for m in masks)
+    return ComponentReport(fault, comps, shapes)
+
+
 def components(G: BitGraph, F) -> ComponentReport:
     fault = _fault_ids(G, F)
     alive = G.full_mask & ~mask_of(fault)
-    masks = component_masks(G.adj_masks, alive)
-    masks.sort(key=lambda m: (-m.bit_count(), m & -m))
-    comps = tuple(ids_of(m) for m in masks)
-    shapes = tuple(_classify_mask(G.adj_masks, m) for m in masks)
-    return ComponentReport(fault, comps, shapes)
+    return component_report(G.adj_masks, fault, component_masks(G.adj_masks, alive))
 
 
 def neighborhood_mask(G: BitGraph, smask: int) -> int:

@@ -5,11 +5,13 @@ the identity, and the allowed component structures under small vertex cuts.
 
 Every verifier returns a :class:`VerificationReport`; exhaustive runs check
 every instance, sampled runs draw seeded uniform fault sets (Fisher-Yates
-prefix) and are reported as "consistent (sampled)", never as proved.
+prefix, drawing from the stream exactly as ``random.Random.randrange`` does)
+and are reported as "consistent (sampled)", never as proved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from .connectivity import (
     ComponentReport,
     Shape,
     common_neighbors,
+    component_report,
     components,
     ids_of,
     is_independent,
@@ -199,13 +202,33 @@ def independent_sets_containing_zero(G: CayleyGraph, size: int):
     yield from extend((0,), G.adj_masks[0] | 1, 1)
 
 
+def _subset_masks(rng: random.Random, V: int, k: int):
+    """Endless uniform k-subsets of range(V) as masks, by Fisher-Yates prefix.
+
+    Step i draws as ``rng.randrange(i, V)`` does: ``getrandbits`` of the bit
+    length of V - i until below V - i. No step reads the slots before it.
+    """
+    if not 0 <= k <= V:
+        raise ValueError(f"subset size must be between 0 and {V}, got {k}")
+    getrandbits = rng.getrandbits
+    steps = [(i, V - i, (V - i).bit_length()) for i in range(k)]
+    bits = [1 << v for v in range(V)]
+    while True:
+        pool = bits[:]
+        m = 0
+        for i, n, b in steps:
+            r = getrandbits(b)
+            while r >= n:
+                r = getrandbits(b)
+            r += i
+            m |= pool[r]
+            pool[r] = pool[i]
+        yield m
+
+
 def sample_subset(rng: random.Random, V: int, k: int) -> list[int]:
-    """Uniform k-subset of range(V) by Fisher-Yates prefix."""
-    pool = list(range(V))
-    for i in range(k):
-        j = rng.randrange(i, V)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    """Uniform k-subset of range(V) by Fisher-Yates prefix, sorted."""
+    return list(ids_of(next(_subset_masks(rng, V, k))))
 
 
 def _chunk_seed(seed: int, chunk: int) -> int:
@@ -215,8 +238,7 @@ def _chunk_seed(seed: int, chunk: int) -> int:
 def _sampled_fault_masks(seed: int, chunk: int, trials: int, V: int, size: int):
     """Fault masks of one seeded sample chunk."""
     rng = random.Random(_chunk_seed(seed, chunk))
-    for _ in range(trials):
-        yield mask_of(sample_subset(rng, V, size))
+    return itertools.islice(_subset_masks(rng, V, size), trials)
 
 
 def _verify_independent_bounds(
@@ -228,12 +250,19 @@ def _verify_independent_bounds(
     trials: int,
     seed: int,
 ) -> VerificationReport:
+    if exhaustive:
+        sets = independent_sets_containing_zero(G, set_size)
+    else:
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        # vertex 0 plus a draw from the other V - 1 vertices, shifted up by one
+        draws = _subset_masks(random.Random(seed), G.vertex_count - 1, set_size - 1)
+        candidates = (ids_of(m << 1 | 1) for m in draws)
+        sets = itertools.islice((S for S in candidates if is_independent(G, S)), trials)
     violations: list[dict] = []
     checked = 0
     attained: int | None = None
-
-    def consider(S):
-        nonlocal checked, attained
+    for S in sets:
         checked += 1
         got = len(neighborhood(G, S))
         if attained is None or got < attained:
@@ -243,34 +272,10 @@ def _verify_independent_bounds(
                 {"set": [G.label_text(v) for v in S], "neighborhood": got,
                  "bound": bound}
             )
-
-    if exhaustive:
-        for S in independent_sets_containing_zero(G, set_size):
-            consider(S)
-        mode = "exhaustive"
-        report_trials = None
-    else:
-        rng = random.Random(seed)
-        produced = 0
-        while produced < trials:
-            cand = sample_subset(rng, G.vertex_count - 1, set_size - 1)
-            S = (0,) + tuple(sorted(v + 1 for v in cand))
-            if is_independent(G, S):
-                produced += 1
-                consider(S)
-        mode = "sampled"
-        report_trials = trials
     return VerificationReport(
-        lemma_id,
-        G.family,
-        G.n,
-        mode,
-        checked,
-        tuple(violations),
-        trials=report_trials,
-        seed=None if exhaustive else seed,
-        min_attained=attained,
-        notes=(PIN_NOTE,),
+        lemma_id, G.family, G.n, "exhaustive" if exhaustive else "sampled", checked,
+        tuple(violations), trials=None if exhaustive else trials,
+        seed=None if exhaustive else seed, min_attained=attained, notes=(PIN_NOTE,),
     )
 
 
@@ -405,16 +410,12 @@ def verify_claims_123(n: int, graph: CayleyGraph | None = None) -> VerificationR
         if not is_independent(G, set(vertex_set.values())):
             violations.append({"check": name})
 
-    nmp_mask = mask_of(set(nmp.values()))
-    npm_mask = mask_of(set(npm.values()))
-    for x in sorted(set(npm.values())):
-        checked += 1
-        if (G.adj_masks[x] & nmp_mask).bit_count() > 1:
-            violations.append({"check": "npm-to-nmp-degree", "vertex": G.label_text(x)})
-    for x in sorted(set(nmp.values())):
-        checked += 1
-        if (G.adj_masks[x] & npm_mask).bit_count() > 1:
-            violations.append({"check": "nmp-to-npm-degree", "vertex": G.label_text(x)})
+    for name, src, dst in (("npm-to-nmp-degree", npm, nmp), ("nmp-to-npm-degree", nmp, npm)):
+        dst_mask = mask_of(dst.values())
+        for x in sorted(set(src.values())):
+            checked += 1
+            if (G.adj_masks[x] & dst_mask).bit_count() > 1:
+                violations.append({"check": name, "vertex": G.label_text(x)})
 
     return VerificationReport(
         "claims", FAMILY_AG, n, "exhaustive", checked, tuple(violations)
@@ -598,8 +599,8 @@ def _census(faults, fsize):
             return
         found.extend(translations.translates(report.fault) if orbit else [report.fault])
 
-    for fm, _ in scan_hits(G, faults, 2, 2):
-        report = components(G, ids_of(fm))
+    for fm, comps in scan_hits(G, faults, 2, 0):
+        report = component_report(G.adj_masks, ids_of(fm), comps)
         if translations is None:
             tally(report, 1, False)
         elif len(set(report.sizes())) == report.count:
@@ -671,6 +672,10 @@ def verify_cut_structure(
         rule_fn = allowed
         lemma_id = lemma_id or "cut-structure"
     V = G.vertex_count
+    if not 0 <= size_bound <= V:
+        raise ValueError(f"fault size bound must be between 0 and {V}, got {size_bound}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     state = {
         "graph": G, "rule": rule_fn, "exceptional": exceptional,
         "translations": None, "size": size_bound, "seed": seed,
@@ -717,11 +722,8 @@ def verify_cut_structure(
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     base, rem = divmod(trials, SAMPLE_CHUNKS)
-    tasks = [
-        (chunk, base + (1 if chunk < rem else 0))
-        for chunk in range(SAMPLE_CHUNKS)
-        if base + (1 if chunk < rem else 0) > 0
-    ]
+    per_chunk = [base + (chunk < rem) for chunk in range(SAMPLE_CHUNKS)]
+    tasks = [(chunk, t) for chunk, t in enumerate(per_chunk) if t]
     with TaskRunner(jobs, state) as runner:
         results = runner.map(_sampled_census_worker, tasks)
     return merge(results, trials, trials, "sampled", report_trials=trials)

@@ -48,6 +48,16 @@ def oracle_disconnected(G, fault_masks):
     ]
 
 
+def oracle_sample_subset(rng: random.Random, V: int, k: int):
+    """Uniform k-subset of range(V) by Fisher-Yates prefix, in draw order,
+    one ``randrange`` call per index."""
+    pool = list(range(V))
+    for i in range(k):
+        j = rng.randrange(i, V)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
 def oracle_shape(adj, comp):
     """Classify a component by direct edge counting."""
     comp = set(comp)

@@ -159,6 +159,29 @@ class TestVerify:
             main(["verify", "--lemma", "nonsense", "--family", "ag", "--n", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("cut-structure", "--family", "ag", "--n", "4", "--rule", "ag-4n-11",
+         "--bound", "25", "--mode", "sampled"),
+        ("cut-structure", "--family", "ag", "--n", "4", "--bound", "-1", "--mode", "sampled"),
+        ("cut-structure", "--family", "ag", "--n", "4", "--bound", "5", "--mode", "sampled",
+         "--trials", "-5"),
+        ("cut-structure", "--family", "ag", "--n", "4", "--bound", "-1"),
+        ("neighbor-bounds", "--family", "ag", "--n", "6", "--set-size", "3",
+         "--trials", "-3"),
+        ("splitstar-bounds", "--family", "s2", "--n", "5", "--set-size", "2",
+         "--trials", "-3"),
+    ], ids=["bound-above-V", "sampled-negative-bound", "negative-trials",
+            "exhaustive-negative-bound", "neighbor-bounds-negative-trials",
+            "splitstar-bounds-negative-trials"])
+    def test_out_of_range_size_or_trials_is_usage_error(self, capsys, argv):
+        code = main(["verify", "--lemma", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("kappalab: ")
+        assert "Traceback" not in captured.err
+        assert "randrange" not in captured.err
+
     def test_sampled_cut_structure_deterministic(self, capsys):
         args = (
             "verify", "--lemma", "cut-structure", "--family", "ag", "--n", "5",
@@ -248,6 +271,8 @@ class TestEntryPoint:
             "kappalab.kappa_ell_exhaustive(G, 3, jobs=1)\n"
             "kappalab.hyper_connectivity_scan(G, 4, jobs=1)\n"
             "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', jobs=1)\n"
+            "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', mode='sampled', trials=500,"
+            " jobs=1)\n"
             "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,9 +1,11 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
-from kappalab.connectivity import common_neighbors, is_independent
+from kappalab import lemmas
+from kappalab.connectivity import common_neighbors, is_independent, mask_of
 from kappalab.graphs import CayleyGraph
 from kappalab.lemmas import (
     independent_sets_containing_zero,
@@ -19,6 +21,8 @@ from kappalab.lemmas import (
 from kappalab.perms import Perm
 
 import random
+
+from .oracles import oracle_sample_subset
 
 
 def vid(G, text):
@@ -284,6 +288,48 @@ class TestSampling:
         a = [sample_subset(random.Random(42), 30, 6) for _ in range(3)]
         b = [sample_subset(random.Random(42), 30, 6) for _ in range(3)]
         assert a == b
+
+    @pytest.mark.parametrize("V", [1, 2, 7, 60, 120, 360])
+    def test_draws_follow_the_randrange_stream(self, V):
+        for k in sorted({0, 1, V - 1, V}):
+            for seed in (0, 1, 2024):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(3):  # consecutive draws share one stream
+                    assert sample_subset(rng, V, k) == sorted(oracle_sample_subset(ref, V, k))
+                assert rng.getstate() == ref.getstate()
+                for chunk in (0, 63):
+                    ref = random.Random(lemmas._chunk_seed(seed, chunk))
+                    want = [mask_of(oracle_sample_subset(ref, V, k)) for _ in range(20)]
+                    assert list(lemmas._sampled_fault_masks(seed, chunk, 20, V, k)) == want
+
+    @pytest.mark.parametrize("V,k", [(5, 6), (5, -1), (0, 1)])
+    def test_size_outside_range_raises(self, V, k):
+        with pytest.raises(ValueError, match="subset size"):
+            sample_subset(random.Random(0), V, k)
+
+    def test_sampled_reports_match_the_randrange_stream(self, ag4, ag5, s5, monkeypatch):
+        # the four sampled rules of the benchmark, plus AG_4, whose V - i runs
+        # through a power of two (8); the benchmark shapes never do
+        cases = [(ag5, "ag-6n-20", 10), (ag5, "ag-8n-29", 11), (s5, "s2-6n-17", 13),
+                 (s5, "s2-8n-25", 15), (ag4, "ag-4n-11", 5)]
+
+        def reports(jobs):
+            census = [
+                verify_cut_structure(G, size, rule, mode="sampled", trials=5000, seed=9,
+                                     jobs=jobs)
+                for G, rule, size in cases
+            ]
+            bounds = [verify_neighbor_bounds_ag(6, 3, trials=300, seed=4),
+                      verify_splitstar_neighbor_bounds(5, 2, trials=300, seed=4)]
+            return [json.dumps(r.to_json_dict()) for r in census + bounds]
+
+        def oracle_masks(rng, V, k):
+            while True:
+                yield mask_of(oracle_sample_subset(rng, V, k))
+
+        got = [reports(1), reports(2)]
+        monkeypatch.setattr(lemmas, "_subset_masks", oracle_masks)
+        assert got == [reports(1), reports(2)]
 
 
 class TestRemarkLargerSizes:
