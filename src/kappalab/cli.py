@@ -105,7 +105,7 @@ def cmd_kappa(args) -> int:
     G = build_family(args.family, args.n)
     jobs = _resolve_jobs(args.jobs)
     if args.witness:
-        result = kappa_ell_witness_search(G, args.ell, args.B)
+        result = kappa_ell_witness_search(G, args.ell, args.B, budget=args.budget)
     else:
         result = kappa_ell_exhaustive(
             G, args.ell, k_max=args.k_max, budget=args.budget, jobs=jobs

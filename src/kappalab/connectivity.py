@@ -3,9 +3,10 @@ vertex connectivity.
 
 Everything here operates on bitmask adjacency (``BitGraph.adj_masks``) so the
 solvers can test tens of millions of fault sets without materializing vertex
-sets. :func:`disconnected_lanes` decides connectivity for a whole batch of
-fault sets at once, one bit lane per fault; the subset scans use it as a
-filter. :func:`component_masks` is the one routine that returns components:
+sets. :func:`split_lanes`, the subset scans' filter, finds for a whole batch
+of faults at once those leaving at least ``need`` components; the batch comes
+as one int per vertex whose bit j says the vertex survives fault j.
+:func:`component_masks` is the one routine that returns components:
 :func:`count_components`, :func:`is_connected_after` and :func:`components`
 are thin views of it; :func:`component_report` sorts and classifies its masks.
 Vertex sets cross the API boundary as plain iterables of ids and come back as
@@ -28,7 +29,7 @@ __all__ = [
     "components",
     "component_report",
     "component_masks",
-    "disconnected_lanes",
+    "split_lanes",
     "count_components",
     "is_connected_after",
     "neighborhood",
@@ -85,48 +86,38 @@ def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[in
     return comps
 
 
-def disconnected_lanes(neighbors: tuple[tuple[int, ...], ...], masks: list[int]) -> int:
-    """Bit j is set iff G - ``masks[j]`` has at least two components.
+def split_lanes(neighbors: tuple[tuple[int, ...], ...], alive: list[int], need: int) -> int:
+    """Bit j is set iff the vertices alive in lane j induce at least ``need`` components.
 
-    G has the vertices ``0..len(neighbors)-1`` and the adjacency lists
-    ``neighbors``; each mask is a set of those vertices. The batch is
-    transposed into one int per vertex whose bit j says the vertex survives
-    fault j, so every big-int operation below acts on all faults at once.
-    Each lane is seeded at its lowest surviving vertex and reachability is
-    relaxed along the edges until no lane changes; a surviving vertex left
-    unreached means a second component.
+    ``neighbors`` are the adjacency lists of G and ``alive[v]`` has bit j set
+    iff vertex v survives in lane j, so every big-int operation below acts on
+    all lanes at once. ``need - 1`` times, each lane is seeded at its lowest
+    survivor, reachability is relaxed along the edges until no lane changes,
+    and the component reached is removed.
     """
-    if not masks:
-        return 0
-    V = len(neighbors)
-    nbytes = (V + 7) // 8  # per fault in the packed batch
-    stride = 8 * nbytes
-    lanes = (1 << len(masks)) - 1
-    packed = int.from_bytes(b"".join([m.to_bytes(nbytes, "little") for m in masks]), "little")
-    # bit v of fault j is bit j * stride + v of packed; its binary text is most
-    # significant first, so the slice below reads the faults last to first and
-    # int() puts fault j at bit j
-    bits = format(packed, f"0{len(masks) * stride}b")
-    alive = [lanes ^ int(bits[stride - 1 - v :: stride], 2) for v in range(V)]
-    reach = []
-    seen = 0
-    for a in alive:
-        reach.append(a & ~seen)
-        seen |= a
-    changed = True
-    while changed:
-        changed = False
-        for v, ns in enumerate(neighbors):
-            r = reach[v]
-            for u in ns:
-                r |= reach[u]
-            r &= alive[v]
-            if r != reach[v]:
-                reach[v] = r
-                changed = True
+    for _ in range(need - 1):
+        reach = []
+        seen = 0
+        for a in alive:
+            reach.append(a & ~seen)
+            seen |= a
+        if not seen:
+            return 0
+        changed = True
+        while changed:
+            changed = False
+            for v, ns in enumerate(neighbors):
+                r = reach[v]
+                for u in ns:
+                    r |= reach[u]
+                r &= alive[v]
+                if r != reach[v]:
+                    reach[v] = r
+                    changed = True
+        alive = [a ^ r for a, r in zip(alive, reach)]  # r is a subset of a
     out = 0
-    for a, r in zip(alive, reach):
-        out |= a ^ r  # r is a subset of a
+    for a in alive:
+        out |= a
     return out
 
 

@@ -15,12 +15,15 @@ l components or fewer than l vertices. Three tiers:
 :func:`hyper_connectivity_scan` censuses all minimum-size cuts.
 
 Every subset scan (the exhaustive tier, the hyper scan and the
-cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine:
-:func:`level_tasks` splits a level into jobs-independent tasks,
-:func:`lex_fault_masks` enumerates a task's fault masks in lex order, and
-:func:`scan_hits` tests them in batches with
-:func:`~kappalab.connectivity.disconnected_lanes` and yields, with their
-components, those leaving enough components. On a graph that
+cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine in lane
+space, ``SCAN_BATCH`` faults at a time, one bit lane per fault.
+:func:`level_tasks` splits a level into jobs-independent tasks;
+:func:`lex_batches` hands over a task's faults in lex order already
+transposed, from the combination patterns of the lex recursion, and
+:func:`mask_batches` transposes any other stream of fault masks.
+:func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes` on each
+batch and yields, with their components, the faults leaving enough
+components; a fault mask is built only for those lanes. On a graph that
 :func:`left_translations` accepts, :func:`scan_tasks` keeps only the fault
 sets through vertex 0, one per orbit position; :func:`orbit_total` turns
 their counts back into counts over all fault sets. ``explored`` and
@@ -39,20 +42,22 @@ from .connectivity import (
     ComponentReport,
     component_masks,
     components,
-    disconnected_lanes,
     ids_of,
     is_connected_after,
     mask_of,
     neighborhood_mask,
+    split_lanes,
 )
 from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, BitGraph, CayleyGraph, left_translations
 from .perms import Perm, rot_minus, rot_plus
 
 DEFAULT_BUDGET = 10**8  # explored-subset cap, not wall time
-SCAN_BATCH = 2048  # fault masks per disconnected_lanes call in scan_hits
+SCAN_BATCH = 2048  # lanes per split_lanes call in scan_hits
+TRANSPOSE_CHUNK = 256  # vertices per transpose pass of mask_batches
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "BudgetExceeded",
     "Tier",
     "CutWitness",
     "CutRefusal",
@@ -68,12 +73,18 @@ __all__ = [
     "remark_independent_set",
     "hyper_connectivity_scan",
     "comb_lex_rank",
+    "comb_lex_unrank",
     "level_tasks",
     "scan_tasks",
     "orbit_total",
-    "lex_fault_masks",
+    "lex_batches",
+    "mask_batches",
     "scan_hits",
 ]
+
+
+class BudgetExceeded(ValueError):
+    """A scan or search would go past its budget."""
 
 
 class Tier(Enum):
@@ -199,6 +210,19 @@ def comb_lex_rank(comb: tuple[int, ...], n: int) -> int:
     return rank
 
 
+def comb_lex_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
+    """The combination of lex rank ``rank`` in C(n, k) order (inverse of comb_lex_rank)."""
+    comb = []
+    c = 0
+    for left in range(k, 0, -1):
+        while rank >= (block := math.comb(n - 1 - c, left - 1)):  # sets led by c
+            rank -= block
+            c += 1
+        comb.append(c)
+        c += 1
+    return tuple(comb)
+
+
 def level_tasks(V: int, k: int, target: int = 200_000) -> list[tuple[tuple[int, ...], int]]:
     """Split lex enumeration of C(V, k) into (prefix, start) tasks.
 
@@ -206,15 +230,16 @@ def level_tasks(V: int, k: int, target: int = 200_000) -> list[tuple[tuple[int, 
     range(s, V); tasks are in lex order and independent of the job count.
     """
     tasks: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(prefix: tuple[int, ...], start: int, remaining: int):
-        if remaining == 0 or math.comb(V - start, remaining) <= target or remaining == 1:
+    stack = [((), 0, k)]
+    while stack:
+        prefix, start, remaining = stack.pop()
+        if remaining <= 1 or math.comb(V - start, remaining) <= target:
             tasks.append((prefix, start))
-            return
-        for nxt in range(start, V - remaining + 1):
-            rec(prefix + (nxt,), nxt + 1, remaining - 1)
-
-    rec((), 0, k)
+        else:  # pushed last to first, so the smallest next element is split first
+            stack += [
+                (prefix + (nxt,), nxt + 1, remaining - 1)
+                for nxt in range(V - remaining, start - 1, -1)
+            ]
     return tasks
 
 
@@ -247,47 +272,113 @@ def orbit_total(weighted: int, k: int) -> int:
     return total
 
 
-def lex_fault_masks(V: int, k: int, prefix: tuple[int, ...], start: int):
-    """Fault masks of the level-task ``(k, prefix, start)``, in lex order.
+def _lex_patterns(pats: list[int], e0: int, m: int, r: int, lo: int, hi: int, at: int, blocks):
+    """Set bit ``at + x - lo`` of ``pats[e0 + i]`` for each lex rank x in
+    ``lo..hi-1`` of the r-combinations of ``range(m)`` whose combination holds i.
 
-    There are ``math.comb(V - start, k - len(prefix))`` of them.
+    The first C(m-1, r-1) sets hold element 0 and an (r-1)-set of the rest;
+    the others are the r-sets of the rest, so the recursion is r deep.
+    ``blocks`` keeps the patterns of whole blocks of at most ``SCAN_BATCH``
+    ranks by (m, r); building one (r >= 2, so m <= 64) recurses m deep.
     """
-    pmask = mask_of(prefix)
-    bits = [1 << v for v in range(start, V)]
-    for comb in itertools.combinations(bits, k - len(prefix)):
-        yield pmask + sum(comb)
+    if r == 1:  # a diagonal
+        for x in range(lo, hi):
+            pats[e0 + x] |= 1 << (at + x - lo)
+        return
+    while lo < hi:
+        if lo == 0 and hi == math.comb(m, r) <= SCAN_BATCH:  # a whole block
+            for i, p in enumerate(blocks.get((m, r)) or _block(m, r, blocks), e0):
+                pats[i] |= p << at
+            return
+        lead = math.comb(m - 1, r - 1)
+        if lo < lead:
+            b = min(hi, lead)
+            pats[e0] |= ((1 << (b - lo)) - 1) << at
+            _lex_patterns(pats, e0 + 1, m - 1, r - 1, lo, b, at, blocks)
+            at += b - lo
+            lo = lead
+        e0, m, lo, hi = e0 + 1, m - 1, lo - lead, hi - lead
 
 
-def scan_hits(G: BitGraph, faults, need: int, limit: int):
+def _block(m: int, r: int, blocks) -> list[int]:
+    """The patterns of all C(m, r) r-combinations of ``range(m)``, r >= 2, kept in ``blocks``."""
+    lead = math.comb(m - 1, r - 1)
+    pats = blocks[m, r] = [(1 << lead) - 1] + [0] * (m - 1)
+    _lex_patterns(pats, 1, m - 1, r - 1, 0, lead, 0, blocks)
+    _lex_patterns(pats, 1, m - 1, r, 0, math.comb(m - 1, r), lead, blocks)
+    return pats
+
+
+def lex_batches(V: int, k: int, prefix: tuple[int, ...], start: int):
+    """The faults of the level task ``(k, prefix, start)`` as lane batches, in lex order.
+
+    A batch is ``SCAN_BATCH`` consecutive lex ranks: a prefix vertex is dead in
+    every lane, any other vertex below ``start`` alive, and vertex
+    ``start + i`` dead in the lanes whose combination holds i. A lane's fault
+    mask is built on demand, by unranking.
+    """
+    m, r = V - start, k - len(prefix)
+    pmask, total, blocks = mask_of(prefix), math.comb(m, r), {}
+    for lo in range(0, total, SCAN_BATCH):
+        count = min(SCAN_BATCH, total - lo)
+        lanes, pats = (1 << count) - 1, [0] * m
+        if r:
+            _lex_patterns(pats, 0, m, r, lo, lo + count, 0, blocks)
+        alive = [0 if pmask >> v & 1 else lanes for v in range(start)] + [lanes ^ p for p in pats]
+        yield alive, lambda j, lo=lo: pmask | mask_of(
+            start + c for c in comb_lex_unrank(lo + j, m, r)
+        )
+
+
+def mask_batches(V: int, faults):
+    """Fault masks on ``range(V)`` as lane batches, ``SCAN_BATCH`` at a time, in order.
+
+    Each pass packs ``TRANSPOSE_CHUNK`` vertices of every mask into one int and
+    slices its binary text once per vertex, so the text never holds more than
+    ``TRANSPOSE_CHUNK`` vertices of the batch.
+    """
+    faults = iter(faults)
+    while batch := list(itertools.islice(faults, SCAN_BATCH)):
+        lanes, alive = (1 << len(batch)) - 1, []
+        for lo in range(0, V, TRANSPOSE_CHUNK):
+            width = min(TRANSPOSE_CHUNK, V - lo)
+            nbytes, window = (width + 7) // 8, (1 << width) - 1
+            packed = b"".join([(m >> lo & window).to_bytes(nbytes, "little") for m in batch])
+            # bit v of fault j is bit j * stride + v of packed; the text runs from
+            # the last fault to the first, so int() puts fault j at bit j
+            stride = 8 * nbytes
+            bits = format(int.from_bytes(packed, "little"), f"0{len(batch) * stride}b")
+            alive += [lanes ^ int(bits[stride - 1 - v :: stride], 2) for v in range(width)]
+        yield alive, batch.__getitem__
+
+
+def scan_hits(G: BitGraph, batches, need: int, limit: int):
     """``(fault_mask, comps)`` for each fault leaving at least ``need`` components.
 
     ``comps`` holds the first ``limit`` components of G - F (0: all of them).
     This is the one subset-scan engine: the level scan, the hyper scan and
-    both cut-structure censuses are reducers over its hits. Faults are tested
-    ``SCAN_BATCH`` at a time by :func:`disconnected_lanes`; only the
-    disconnected ones reach :func:`component_masks`, in the order given, so
-    ``need`` must be at least 2.
+    both cut-structure censuses are reducers over its hits. Each batch is
+    filtered by :func:`split_lanes`; only the lanes it flags get a fault mask
+    and reach :func:`component_masks`, in lane order. ``need`` must be at
+    least 2.
     """
     if need < 2:
         raise ValueError("need must be >= 2")
     adj, full = G.adj_masks, G.full_mask
-    faults = iter(faults)
-    while batch := list(itertools.islice(faults, SCAN_BATCH)):
-        flagged = disconnected_lanes(G.neighbors, batch)
+    for alive, fault_at in batches:
+        flagged = split_lanes(G.neighbors, alive, need)
         while flagged:
             low = flagged & -flagged
             flagged ^= low
-            fm = batch[low.bit_length() - 1]
-            comps = component_masks(adj, full ^ fm, limit)
-            if len(comps) >= need:
-                yield fm, comps
+            fm = fault_at(low.bit_length() - 1)
+            yield fm, component_masks(adj, full ^ fm, limit)
 
 
 def _scan_level_worker(task):
     """First F (lex order) in this task's range with >= ell components."""
     state = worker_state()
     G, ell = state["graph"], state["ell"]
-    for fm, _ in scan_hits(G, lex_fault_masks(G.vertex_count, *task), ell, ell):
+    for fm, _ in scan_hits(G, lex_batches(G.vertex_count, *task), ell, ell):
         return ids_of(fm)
     return None
 
@@ -355,42 +446,42 @@ def kappa_ell_exhaustive(
 
 
 def _connected_parts(adj, anchor: int, max_size: int, banned: int):
-    """Masks of connected sets containing ``anchor`` with min id = anchor.
+    """Masks of connected sets containing ``anchor`` with min id = anchor, lazily.
 
     Uniqueness by the usual extension scheme: candidates are scanned in
     ascending id order and a skipped candidate stays excluded in the whole
     subtree. ``banned`` must already contain all ids below ``anchor``.
     """
-    out: list[int] = []
-    amask = 1 << anchor
-    first_ext = adj[anchor] & ~banned & ~amask
-
-    def rec(sub: int, size: int, ext: int, dead: int):
-        out.append(sub)
+    stack = [(1 << anchor, 1, adj[anchor] & ~banned & ~(1 << anchor), 0)]
+    while stack:
+        sub, size, ext, dead = stack.pop()
+        yield sub
         if size == max_size:
-            return
-        processed = 0
-        m = ext
-        while m:
-            low = m & -m
-            m ^= low
+            continue
+        children = []
+        while ext:
+            low = ext & -ext
+            ext ^= low
             v = low.bit_length() - 1
-            child_dead = dead | processed
-            child_ext = ((m | (adj[v] & ~banned)) & ~(sub | low)) & ~child_dead
-            rec(sub | low, size + 1, child_ext, child_dead)
-            processed |= low
-
-    rec(amask, 1, first_ext, 0)
-    return out
+            grown = sub | low
+            children.append((grown, size + 1, (ext | adj[v] & ~banned) & ~(grown | dead), dead))
+            dead |= low  # a skipped candidate stays out of the later subtrees
+        stack += reversed(children)  # popped in ascending order
 
 
-def kappa_ell_witness_search(G: BitGraph, ell: int, B: int = 1) -> KappaResult:
+def kappa_ell_witness_search(
+    G: BitGraph, ell: int, B: int = 1, budget: int = DEFAULT_BUDGET
+) -> KappaResult:
     """Cheapest witness family with parts of size <= B.
 
     Exploits vertex-transitivity of the target families by pinning the first
     part to contain vertex 0; parts are enumerated with strictly increasing
     minimum ids. Returns an upper bound on kappa_l, monotone nonincreasing
     in B, with the lexicographically smallest fault set among the minima.
+    Raises :class:`BudgetExceeded` once it visits more than ``budget``
+    complete families (the count reported as ``explored``). Parts are made
+    lazily, so the search stops there whatever B is; only parts that leave
+    no room for a family go uncounted.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -406,6 +497,8 @@ def kappa_ell_witness_search(G: BitGraph, ell: int, B: int = 1) -> KappaResult:
         nonlocal best, explored
         if remaining == 0:
             explored += 1
+            if explored > budget:
+                raise BudgetExceeded(f"witness search visited more than {budget} families")
             fault_mask = nbhd & ~union
             leftover = full & ~union & ~fault_mask
             if leftover == 0:
@@ -443,7 +536,7 @@ def kappa_ell_witness_search(G: BitGraph, ell: int, B: int = 1) -> KappaResult:
         Tier.WITNESS_UPPER_BOUND,
         witness,
         explored=explored,
-        budget=0,
+        budget=budget,
         k_max=value,
         part_size_bound=B,
     )
@@ -635,7 +728,7 @@ def _hyper_scan_worker(task):
     singletons = 0
     exceptional = []
     # limit 3 tells "exactly two components" apart from "three or more"
-    for fm, comps in scan_hits(G, lex_fault_masks(G.vertex_count, *task), 2, 3):
+    for fm, comps in scan_hits(G, lex_batches(G.vertex_count, *task), 2, 3):
         disconnecting += 1
         if len(comps) == 2 and min(c.bit_count() for c in comps) == 1:
             singletons += 1

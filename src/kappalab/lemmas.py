@@ -40,7 +40,9 @@ from .graphs import (
 )
 from .kappa import (
     DEFAULT_BUDGET,
-    lex_fault_masks,
+    BudgetExceeded,
+    lex_batches,
+    mask_batches,
     orbit_total,
     remark_independent_set,
     scan_hits,
@@ -116,10 +118,6 @@ class VerificationReport:
 
 
 PIN_NOTE = "independent sets pinned to contain the identity (vertex-transitivity)"
-
-
-class BudgetExceeded(ValueError):
-    """An exhaustive census would cover more subsets than its budget allows."""
 
 
 def _resolve_graph(family: str, n: int, graph: CayleyGraph | None) -> CayleyGraph:
@@ -569,8 +567,8 @@ def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
     raise ValueError(f"no cut-structure rule for family={family}, n={n}, bound={bound}")
 
 
-def _census(faults, fsize):
-    """Examine every disconnecting fault of ``faults`` against the rule.
+def _census(batches, fsize):
+    """Examine every disconnecting fault of the lane ``batches`` against the rule.
 
     Returns the fault size, the violating faults, the outcome tally and the
     exceptional faults. With ``translations`` in the state the faults hold
@@ -599,7 +597,7 @@ def _census(faults, fsize):
             return
         found.extend(translations.translates(report.fault) if orbit else [report.fault])
 
-    for fm, comps in scan_hits(G, faults, 2, 0):
+    for fm, comps in scan_hits(G, batches, 2, 0):
         report = component_report(G.adj_masks, ids_of(fm), comps)
         if translations is None:
             tally(report, 1, False)
@@ -613,17 +611,16 @@ def _census(faults, fsize):
 
 def _census_worker(task):
     V = worker_state()["graph"].vertex_count
-    return _census(lex_fault_masks(V, *task), task[0])
+    return _census(lex_batches(V, *task), task[0])
 
 
 def _sampled_census_worker(task):
     state = worker_state()
     chunk, trials = task
     size = state["size"]
-    faults = _sampled_fault_masks(
-        state["seed"], chunk, trials, state["graph"].vertex_count, size
-    )
-    return _census(faults, size)
+    V = state["graph"].vertex_count
+    faults = _sampled_fault_masks(state["seed"], chunk, trials, V, size)
+    return _census(mask_batches(V, faults), size)
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:

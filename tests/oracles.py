@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 
+from kappalab.connectivity import mask_of
 from kappalab.graphs import BitGraph
 from kappalab.perms import even_rank, even_unrank, exchange, rank, rot_minus, rot_plus, unrank
 
@@ -46,6 +47,22 @@ def oracle_disconnected(G, fault_masks):
         len(oracle_components(adj, [v for v in adj if fm >> v & 1])) >= 2
         for fm in fault_masks
     ]
+
+
+def lex_fault_masks(V: int, k: int, prefix: tuple[int, ...], start: int):
+    """Fault masks of the level-task ``(k, prefix, start)``, in lex order.
+
+    There are ``math.comb(V - start, k - len(prefix))`` of them.
+    """
+    pmask = mask_of(prefix)
+    bits = [1 << v for v in range(start, V)]
+    for comb in itertools.combinations(bits, k - len(prefix)):
+        yield pmask + sum(comb)
+
+
+def oracle_lanes(masks, V):
+    """Bit j of entry v is set iff vertex v is not in ``masks[j]``."""
+    return [sum(1 << j for j, m in enumerate(masks) if not m >> v & 1) for v in range(V)]
 
 
 def oracle_sample_subset(rng: random.Random, V: int, k: int):

@@ -76,6 +76,28 @@ class TestKappa:
         assert data["value"] == 10
         assert data["tier"] == "WitnessUpperBound"
 
+    def test_witness_reports_its_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv("KAPPALAB_BUDGET", raising=False)
+        args = ("kappa", "--family", "ag", "--n", "5", "--ell", "3", "--witness")
+        _, out = run_cli(capsys, *args)
+        assert json.loads(out)["budget"] == 10**8
+        _, out = run_cli(capsys, *args, "--budget", "5000")
+        data = json.loads(out)
+        assert (data["budget"], data["value"]) == (5000, 10)
+
+    # B = 4 on AG_5 grows past 10^4 families (seconds without a budget); at
+    # B = 60 listing the first parts alone would never end, so parts are lazy
+    @pytest.mark.parametrize("B", ["4", "60"])
+    def test_over_budget_witness_search_is_inconclusive(self, capsys, B):
+        code = main([
+            "kappa", "--family", "ag", "--n", "5", "--ell", "3", "--witness",
+            "--B", B, "--budget", "1000",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "kappalab: witness search visited more than 1000 families\n"
+
     def test_inconclusive_budget_exit_code(self, capsys):
         code, out = run_cli(
             capsys, "kappa", "--family", "ag", "--n", "4", "--ell", "3",

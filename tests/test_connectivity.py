@@ -11,11 +11,11 @@ from kappalab.connectivity import (
     component_masks,
     components,
     count_components,
-    disconnected_lanes,
     ids_of,
     is_independent,
     mask_of,
     neighborhood,
+    split_lanes,
     vertex_connectivity,
 )
 from kappalab.graphs import BitGraph, decompose
@@ -25,6 +25,7 @@ from .oracles import (
     adjacency_dict,
     oracle_components,
     oracle_disconnected,
+    oracle_lanes,
     oracle_shape,
     random_connected_graph,
     sparse_random_graph,
@@ -89,6 +90,10 @@ class TestComponents:
             components(ag4, [99])
 
 
+def disconnected_lanes(G, masks):
+    return split_lanes(G.neighbors, oracle_lanes(masks, G.vertex_count), 2)
+
+
 class TestDisconnectedLanes:
     @pytest.mark.parametrize("V", [1, 7, 8, 9, 24, 63, 64, 65, 120])
     def test_matches_oracle_on_random_graphs(self, V):
@@ -99,21 +104,43 @@ class TestDisconnectedLanes:
             faults = [0, full] + [
                 mask_of(rng.sample(range(V), rng.randint(0, V))) for _ in range(40)
             ]
-            lanes = disconnected_lanes(G.neighbors, faults)
+            lanes = disconnected_lanes(G, faults)
             assert [bool(lanes >> j & 1) for j in range(len(faults))] == oracle_disconnected(
                 G, faults
             )
             assert lanes >> len(faults) == 0
 
+    @pytest.mark.parametrize("need", [2, 3, 4, 5])
+    def test_need_matches_component_count(self, need):
+        rng = random.Random(need)
+        seen = set()
+        for V in (5, 12, 24, 40):
+            G = sparse_random_graph(rng, V)
+            adj = adjacency_dict(G)
+            faults = [0] + [mask_of(rng.sample(range(V), rng.randint(0, V))) for _ in range(60)]
+            lanes = split_lanes(G.neighbors, oracle_lanes(faults, V), need)
+            got = [bool(lanes >> j & 1) for j in range(len(faults))]
+            want = [
+                len(oracle_components(adj, ids_of(fm))) >= need for fm in faults
+            ]
+            assert got == want
+            assert got == [
+                len(component_masks(G.adj_masks, G.full_mask ^ fm)) >= need for fm in faults
+            ]
+            seen.update(want)
+        assert seen == {True, False}
+
     def test_isolated_vertices_and_disconnected_graphs(self):
         empty = BitGraph.from_edges(5, [])
         # no edges: two or more survivors are always disconnected
         faults = [0, 0b11110, 0b11100, 0b11111]
-        assert disconnected_lanes(empty.neighbors, faults) == 0b0101
+        assert disconnected_lanes(empty, faults) == 0b0101
+        assert split_lanes(empty.neighbors, oracle_lanes(faults, 5), 4) == 0b0001
         two_triangles = BitGraph.from_edges(6, [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1)])
         faults = [0, 0b010101, 0b101010, 0b000011, 0b111111]
-        assert disconnected_lanes(two_triangles.neighbors, faults) == 0b01001
-        assert disconnected_lanes(two_triangles.neighbors, []) == 0
+        assert disconnected_lanes(two_triangles, faults) == 0b01001
+        assert split_lanes(two_triangles.neighbors, oracle_lanes(faults, 6), 3) == 0
+        assert disconnected_lanes(two_triangles, []) == 0
 
 
 class TestShapes:

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,29 +17,37 @@ from kappalab.connectivity import (
     neighborhood,
     vertex_connectivity,
 )
-from kappalab.graphs import BitGraph, build_splitstar
+from kappalab.graphs import BitGraph, build_ag, build_splitstar, left_translations
 from kappalab.kappa import (
+    DEFAULT_BUDGET,
     SCAN_BATCH,
+    BudgetExceeded,
     CutRefusal,
     CutWitness,
     Tier,
     WitnessFamily,
     comb_lex_rank,
+    comb_lex_unrank,
     construct_paper_cut,
     hyper_connectivity_scan,
     kappa_ell_exhaustive,
     kappa_ell_witness_search,
+    lex_batches,
     level_tasks,
+    mask_batches,
     remark_independent_set,
     scan_hits,
+    scan_tasks,
     verify_cut,
     _connected_parts,
 )
-from kappalab.lemmas import independent_sets_containing_zero
+from kappalab.lemmas import independent_sets_containing_zero, verify_cut_structure
 from kappalab.perms import Perm
 
 from .oracles import (
     adjacency_dict,
+    lex_fault_masks,
+    oracle_lanes,
     oracle_components,
     oracle_disconnected,
     random_connected_graph,
@@ -182,6 +193,19 @@ class TestWitnessSearch:
         assert count == expected
         assert kappa_ell_witness_search(G, ell, 1).explored == expected
 
+    @pytest.mark.parametrize(
+        "graph, ell, B", [("ag4", 3, 1), ("ag4", 4, 2), ("s4", 3, 1), ("ag5", 3, 2)]
+    )
+    def test_budget_leaves_in_budget_results_unchanged(self, graph, ell, B, request):
+        G = request.getfixturevalue(graph)
+        free = kappa_ell_witness_search(G, ell, B)
+        assert free.budget == DEFAULT_BUDGET
+        tight = kappa_ell_witness_search(G, ell, B, budget=free.explored)
+        assert tight.budget == free.explored
+        assert dataclasses.replace(tight, budget=DEFAULT_BUDGET) == free
+        with pytest.raises(BudgetExceeded):
+            kappa_ell_witness_search(G, ell, B, budget=free.explored - 1)
+
     def test_monotone_nonincreasing_in_b(self, ag4):
         v1 = kappa_ell_witness_search(ag4, 3, 1).value
         v2 = kappa_ell_witness_search(ag4, 3, 2).value
@@ -293,7 +317,7 @@ class TestConnectedPartsEnumeration:
                 assert got == want
 
     def test_no_duplicates(self, s4):
-        parts = _connected_parts(s4.adj_masks, 0, 4, 0)
+        parts = list(_connected_parts(s4.adj_masks, 0, 4, 0))
         assert len(parts) == len(set(parts))
 
 
@@ -422,19 +446,145 @@ class TestScanHits:
         rng = random.Random(count)
         G = sparse_random_graph(rng, 24)
         faults = [mask_of(rng.sample(range(24), rng.randint(0, 24))) for _ in range(count)]
-        for need, limit in ((2, 2), (2, 3), (3, 0)):
+        for need, limit in ((2, 2), (2, 3), (3, 0), (4, 2)):
             want = []
             for fm in faults:
-                comps = component_masks(G.adj_masks, G.full_mask ^ fm, limit)
-                if len(comps) >= need:
-                    want.append((fm, comps))
-            assert list(scan_hits(G, faults, need, limit)) == want
-        hits = {fm for fm, _ in scan_hits(G, iter(faults), 2, 2)}
+                if len(component_masks(G.adj_masks, G.full_mask ^ fm)) >= need:
+                    want.append((fm, component_masks(G.adj_masks, G.full_mask ^ fm, limit)))
+            assert list(scan_hits(G, mask_batches(24, faults), need, limit)) == want
+        hits = {fm for fm, _ in scan_hits(G, mask_batches(24, iter(faults)), 2, 2)}
         assert [fm in hits for fm in faults] == oracle_disconnected(G, faults)
+
+    @pytest.mark.parametrize("need, limit", [(2, 3), (3, 3), (4, 0)])
+    def test_lex_source_matches_mask_source(self, s4, need, limit):
+        for task in scan_tasks(24, 7, True)[:3]:
+            faults = lex_fault_masks(24, *task)
+            assert list(scan_hits(s4, lex_batches(24, *task), need, limit)) == list(
+                scan_hits(s4, mask_batches(24, faults), need, limit)
+            )
 
     def test_rejects_need_below_two(self, ag4):
         with pytest.raises(ValueError):
-            list(scan_hits(ag4, [0], 1, 0))
+            list(scan_hits(ag4, mask_batches(12, [0]), 1, 0))
+
+
+def assert_source_matches_oracle(V, task, batches=None, step=1):
+    """The lane batches of a task (the first ``batches`` of them, or all) equal
+    the oracle lex source transposed by the mask source (itself checked against
+    ``oracle_lanes`` below); the fault masks are read back from every
+    ``step``-th lane and the last."""
+    limit = None if batches is None else batches * SCAN_BATCH
+    masks = list(itertools.islice(lex_fault_masks(V, *task), limit))
+    want = [masks[i : i + SCAN_BATCH] for i in range(0, len(masks), SCAN_BATCH)]
+    got = list(itertools.islice(lex_batches(V, *task), batches))
+    assert len(got) == len(want)
+    for (alive, fault_at), masks in zip(got, want):
+        assert alive == next(mask_batches(V, masks))[0]
+        lanes = sorted({*range(0, len(masks), step), len(masks) - 1})
+        assert [fault_at(j) for j in lanes] == [masks[j] for j in lanes]
+
+
+class TestLexBatches:
+    @pytest.mark.parametrize("V", [1, 7, 12])
+    def test_every_task_matches_oracle(self, V):
+        for k in range(V + 1):
+            for pinned in (False, True):
+                for task in scan_tasks(V, k, pinned):
+                    assert_source_matches_oracle(V, task)
+
+    def test_every_task_of_24_starts_like_oracle(self):
+        # all 2**24 subsets would take minutes through the oracle: the first
+        # batch of every task covers its pattern head, levels 0..3 and
+        # 21..24 are checked whole, and the boundary tasks below check seams
+        for k in range(25):
+            whole = k <= 3 or k >= 21
+            for pinned in (False, True):
+                for task in scan_tasks(24, k, pinned):
+                    assert_source_matches_oracle(24, task, None if whole else 1, step=53)
+
+    @pytest.mark.parametrize(
+        "V, task",
+        [
+            (SCAN_BATCH - 1, (1, (), 0)),  # r = 1: lanes SCAN_BATCH - 1 .. + 1
+            (SCAN_BATCH, (1, (), 0)),
+            (SCAN_BATCH + 1, (1, (), 0)),
+            (SCAN_BATCH + 3, (3, (0, 1), 3)),  # SCAN_BATCH lanes after a prefix
+            (70, (3, (0,), 6)),  # C(64, 2) = 2016 lanes, one whole kept block
+            (70, (3, (0,), 5)),  # C(65, 2) = 2080 lanes
+            (27, (4, (0,), 2)),  # C(25, 3) = 2300 lanes
+            (30, (5, (1, 3), 4)),  # prefix vertex 1, vertices 0 and 2 alive in every lane
+            (20, (20, (), 0)),  # r = m
+            (20, (3, (2, 5, 9), 10)),  # r = 0
+            (40, (6, (), 1)),  # C(39, 6) = 3.3M lanes: the first batches only
+        ],
+    )
+    def test_boundary_tasks_match_oracle(self, V, task):
+        assert_source_matches_oracle(V, task, batches=3)
+
+    def test_unrank_inverts_rank(self):
+        for n, k in ((8, 3), (10, 4), (6, 0), (6, 6), (1, 1), (40, 1)):
+            for idx, comb in enumerate(itertools.combinations(range(n), k)):
+                assert comb_lex_unrank(idx, n, k) == comb
+                assert comb_lex_rank(comb, n) == idx
+
+    def test_large_graph_scan_recurses_only_r_deep(self):
+        # level 2 of AG_7 is one task with r = 1 and m = 2519 lanes
+        res = kappa_ell_exhaustive(build_ag(7), 2, k_max=2)
+        assert (res.value, res.explored, res.evaluated) == (None, 3_176_461, 2_521)
+
+
+class TestMaskBatches:
+    @pytest.mark.parametrize("V", [1, 9, 255, 256, 257, 600])
+    def test_lanes_are_the_transposed_masks(self, V):
+        rng = random.Random(V)
+        full = (1 << V) - 1
+        masks = [0, full] + [mask_of(rng.sample(range(V), rng.randint(0, V))) for _ in range(70)]
+        masks *= 30  # 2160 faults: one whole batch and a part
+        got = list(mask_batches(V, iter(masks)))
+        assert [len(alive) for alive, _ in got] == [V, V]
+        for (alive, fault_at), lo in zip(got, (0, SCAN_BATCH)):
+            batch = masks[lo : lo + SCAN_BATCH]
+            assert alive == oracle_lanes(batch, V)
+            assert [fault_at(j) for j in range(len(batch))] == batch
+
+    def test_transpose_memory_is_bounded_by_the_lanes(self):
+        # one batch of 2048 random 20-sets on AG_7, whose lane ints take 0.65 MB;
+        # a transpose of the whole batch at once peaked at 11 MB
+        V = build_ag(7).vertex_count
+        rng = random.Random(7)
+        masks = [mask_of(rng.sample(range(V), 20)) for _ in range(SCAN_BATCH)]
+        tracemalloc.start()
+        try:
+            next(mask_batches(V, masks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+class TestScanMemory:
+    """tracemalloc peaks of the scans stay at or below their figures before
+    the lane source (378,341 and 646,313 bytes on Python 3.11), so the kept
+    pattern blocks and the batch lists cannot grow unnoticed."""
+
+    def traced_peak(self, fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_s4_ell4_level_scan(self):
+        G = build_splitstar(4)
+        left_translations(G)
+        assert self.traced_peak(lambda: kappa_ell_exhaustive(G, 4)) <= 380_000
+
+    def test_s4_census_at_bound_8(self):
+        G = build_splitstar(4)
+        left_translations(G)
+        assert self.traced_peak(lambda: verify_cut_structure(G, 8, "s2-4n-8")) <= 650_000
 
 
 class TestAg4EightCutCensus:
@@ -474,6 +624,17 @@ class TestEnumerationHelpers:
             for comb in itertools.combinations(range(start, V), k - len(prefix)):
                 seen.append(prefix + comb)
         assert seen == list(itertools.combinations(range(V), k))
+
+    def test_level_tasks_leave_no_garbage_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for V, k in ((24, 10), (59, 5), (9, 4), (60, 0), (23, 9)):
+                scan_tasks(V, k, True)
+                scan_tasks(V, k, False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAgainstSubsetOracle:

@@ -18,6 +18,7 @@ from kappalab.graphs import BitGraph, CayleyGraph, build_ag, build_splitstar, le
 from kappalab.kappa import hyper_connectivity_scan, kappa_ell_exhaustive, scan_tasks
 from kappalab.lemmas import CUT_RULES, verify_cut_structure
 
+from .oracles import lex_fault_masks
 from .test_lemmas import add_edge, drop_edge
 
 
@@ -69,8 +70,8 @@ class TestGate:
     def test_pinned_tasks_are_the_lex_first_sets_through_zero(self):
         for V, k in ((12, 4), (24, 5), (60, 3)):
             tasks = scan_tasks(V, k, True)
-            faults = [fm for t in tasks for fm in kappa.lex_fault_masks(V, *t)]
-            full = [fm for t in scan_tasks(V, k, False) for fm in kappa.lex_fault_masks(V, *t)]
+            faults = [fm for t in tasks for fm in lex_fault_masks(V, *t)]
+            full = [fm for t in scan_tasks(V, k, False) for fm in lex_fault_masks(V, *t)]
             assert faults == full[: math.comb(V - 1, k - 1)]
             assert all(fm & 1 for fm in faults)
 
@@ -188,11 +189,11 @@ class TestCensus:
         state = {"graph": s4, "rule": CUT_RULES["s2-4n-8"].allowed, "exceptional": None}
         try:
             _parallel._init_worker({**state, "translations": tr})
-            _, _, weighted, _ = lemmas._census(
-                (mask_of(f) for f in orbit if 0 in f), len(fault)
-            )
+            through_zero = kappa.mask_batches(24, (mask_of(f) for f in orbit if 0 in f))
+            _, _, weighted, _ = lemmas._census(through_zero, len(fault))
             _parallel._init_worker({**state, "translations": None})
-            _, _, plain, _ = lemmas._census((mask_of(f) for f in orbit), len(fault))
+            every = kappa.mask_batches(24, (mask_of(f) for f in orbit))
+            _, _, plain, _ = lemmas._census(every, len(fault))
         finally:
             _parallel._init_worker(None)
         assert Counter(weighted) == Counter({s: len(fault) * c for s, c in plain.items()})
