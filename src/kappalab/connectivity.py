@@ -10,7 +10,9 @@ as one int per vertex whose bit j says the vertex survives fault j.
 :func:`count_components`, :func:`is_connected_after` and :func:`components`
 are thin views of it; :func:`component_report` sorts and classifies its masks.
 Vertex sets cross the API boundary as plain iterables of ids and come back as
-sorted tuples or frozensets.
+sorted tuples or frozensets; inside they are bitmasks, built by ``mask_of`` and
+listed by ``ids_of`` (both from :mod:`kappalab.graphs`). Every bit walk here
+peels 64-bit words, so its Python steps are linear in the mask length.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .graphs import BitGraph
+from .graphs import BitGraph, ids_of, mask_of
 
 __all__ = [
     "Shape",
@@ -42,22 +44,6 @@ __all__ = [
 ]
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def ids_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[int]:
     """Connected components of the subgraph induced by ``alive``, as masks.
 
@@ -73,10 +59,15 @@ def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[in
         while frontier:
             nxt = 0
             m = frontier
+            off = -1  # the ids_of word walk, inlined
             while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
+                word = m & 0xFFFFFFFFFFFFFFFF
+                while word:
+                    low = word & -word
+                    nxt |= adj[off + low.bit_length()]
+                    word ^= low
+                m >>= 64
+                off += 64
             frontier = nxt & remaining
             remaining ^= frontier
             comp |= frontier
@@ -237,12 +228,10 @@ def components(G: BitGraph, F) -> ComponentReport:
 
 
 def neighborhood_mask(G: BitGraph, smask: int) -> int:
+    adj = G.adj_masks
     out = 0
-    m = smask
-    while m:
-        low = m & -m
-        out |= G.adj_masks[low.bit_length() - 1]
-        m ^= low
+    for v in ids_of(smask):
+        out |= adj[v]
     return out & ~smask
 
 
@@ -259,12 +248,10 @@ def common_neighbors(G: BitGraph, u: int, v: int) -> frozenset[int]:
 
 def is_independent(G: BitGraph, S: Iterable[int]) -> bool:
     smask = mask_of(S)
-    m = smask
-    while m:
-        low = m & -m
-        if G.adj_masks[low.bit_length() - 1] & smask:
+    adj = G.adj_masks
+    for v in ids_of(smask):
+        if adj[v] & smask:
             return False
-        m ^= low
     return True
 
 

@@ -14,6 +14,11 @@ always the identity. Left multiplication relabels symbols and commutes with
 the generators, so it is a vertex-transitive group of automorphisms
 (:class:`LeftTranslations`); the subset scans use it to test only the fault
 sets through vertex 0.
+
+Vertex sets are also bitmasks (bit v set iff v is in the set): :func:`mask_of`
+builds one and :func:`ids_of` lists one. ``ids_of`` walks the mask a 64-bit
+word at a time: one Python step per word and per set bit, linear in the mask
+length.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .perms import Parity, Perm, even_rank, exchange, parity, rank, rot_minus, rot_plus
 
@@ -57,7 +62,32 @@ __all__ = [
     "out_neighbors",
     "to_dimacs",
     "to_json_dict",
+    "mask_of",
+    "ids_of",
 ]
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask of a set of vertex ids."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def ids_of(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask`` in increasing order, peeled a 64-bit word at a time."""
+    out = []
+    off = -1  # the word's offset - 1, so a bit's id is off + its bit_length()
+    while mask:
+        word = mask & 0xFFFFFFFFFFFFFFFF
+        while word:
+            low = word & -word
+            out.append(off + low.bit_length())
+            word ^= low
+        mask >>= 64
+        off += 64
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -106,8 +136,7 @@ class BitGraph:
             adj[u].add(v)
             adj[v].add(u)
         neighbors = tuple(tuple(sorted(ns)) for ns in adj)
-        masks = tuple(sum(1 << v for v in ns) for ns in neighbors)
-        return cls(neighbors, masks)
+        return cls(neighbors, tuple(map(mask_of, neighbors)))
 
     def label_text(self, v: int) -> str:
         return str(v)
@@ -148,7 +177,7 @@ class CayleyGraph(BitGraph):
         translations = LeftTranslations(symbols)
         neighbors = _neighbor_ids(symbols, translations.id_of, _moves(self.family, self.n))
         if self.neighbors != neighbors or any(
-            m != _mask(ns) for m, ns in zip(self.adj_masks, neighbors)
+            m != mask_of(ns) for m, ns in zip(self.adj_masks, neighbors)
         ):
             return None
         return translations
@@ -181,18 +210,16 @@ def _vertex_symbols(family: str, n: int) -> list[tuple[int, ...]]:
 
 
 def _neighbor_ids(symbols, id_of: dict, moves) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted({id_of[move(s)] for move in moves})) for s in symbols)
-
-
-def _mask(ids) -> int:
-    return sum(1 << u for u in ids)
+    # one column of ids per move; distinct generators give distinct neighbours
+    columns = [map(id_of.__getitem__, map(move, symbols)) for move in moves]
+    return tuple(map(tuple, map(sorted, zip(*columns))))
 
 
 def _build(family: str, n: int) -> CayleyGraph:
     symbols = _vertex_symbols(family, n)
     id_of = {s: v for v, s in enumerate(symbols)}
     neighbors = _neighbor_ids(symbols, id_of, _moves(family, n))
-    masks = tuple(map(_mask, neighbors))
+    masks = tuple(map(mask_of, neighbors))
     return CayleyGraph(neighbors, masks, family, n, tuple(map(Perm, symbols)))
 
 
@@ -309,8 +336,7 @@ def external_edge_count(G: CayleyGraph, i: int, j: int) -> int:
         raise ValueError("part indices must differ")
     if not (1 <= i <= G.n and 1 <= j <= G.n):
         raise ValueError(f"part indices must lie in 1..{G.n}")
-    part_j = [v for v in range(G.vertex_count) if G.last_symbol(v) == j]
-    mask_j = sum(1 << v for v in part_j)
+    mask_j = mask_of(v for v in range(G.vertex_count) if G.last_symbol(v) == j)
     count = 0
     for v in range(G.vertex_count):
         if G.last_symbol(v) == i:

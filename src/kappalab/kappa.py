@@ -469,6 +469,14 @@ def _connected_parts(adj, anchor: int, max_size: int, banned: int):
         stack += reversed(children)  # popped in ascending order
 
 
+def _later_parts(adj, max_size: int, blocked: int, start: int):
+    """``(part, anchor)`` for the connected parts avoiding ``blocked``, anchors from ``start`` up."""
+    for a in range(start, len(adj)):
+        if not blocked >> a & 1:
+            for pmask in _connected_parts(adj, a, max_size, blocked | (1 << a) - 1):
+                yield pmask, a
+
+
 def kappa_ell_witness_search(
     G: BitGraph, ell: int, B: int = 1, budget: int = DEFAULT_BUDGET
 ) -> KappaResult:
@@ -488,43 +496,34 @@ def kappa_ell_witness_search(
     if B < 1:
         raise ValueError("B must be >= 1")
     adj = G.adj_masks
-    V = G.vertex_count
     full = G.full_mask
     best: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
     explored = 0  # complete witness families visited
-
-    def place(parts, union, nbhd, next_anchor_from, remaining):
-        nonlocal best, explored
-        if remaining == 0:
-            explored += 1
-            if explored > budget:
-                raise BudgetExceeded(f"witness search visited more than {budget} families")
-            fault_mask = nbhd & ~union
-            leftover = full & ~union & ~fault_mask
-            if leftover == 0:
-                return
-            fault = ids_of(fault_mask)
-            key = (len(fault), fault)
-            if best is None or key < (best[0], best[1]):
-                best = (len(fault), fault, tuple(ids_of(p) for p in parts))
-            return
-        blocked = union | nbhd
-        for a in range(next_anchor_from, V):
-            if blocked >> a & 1:
-                continue
-            below = (1 << a) - 1
-            for pmask in _connected_parts(adj, a, B, blocked | below):
-                pn = neighborhood_mask(G, pmask)
-                place(
-                    parts + [pmask],
-                    union | pmask,
-                    nbhd | pn,
-                    a + 1,
-                    remaining - 1,
-                )
-
-    for first in _connected_parts(adj, 0, B, 0):
-        place([first], first, neighborhood_mask(G, first), 1, ell - 2)
+    # depth-first over partial families: (parts, union, N(union), next parts)
+    stack = [([], 0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
+    while stack:
+        parts, union, nbhd, nexts = stack[-1]
+        step = next(nexts, None)
+        if step is None:
+            stack.pop()
+            continue
+        pmask, a = step
+        parts, union, nbhd = parts + [pmask], union | pmask, nbhd | neighborhood_mask(G, pmask)
+        if len(parts) < ell - 1:
+            stack.append((parts, union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
+            continue
+        explored += 1
+        if explored > budget:
+            raise BudgetExceeded(f"witness search visited more than {budget} families")
+        fault_mask = nbhd & ~union
+        if not full & ~union & ~fault_mask:  # nothing left outside the cut
+            continue
+        size = fault_mask.bit_count()
+        if best is not None and size > best[0]:
+            continue  # a larger fault never has the smaller (size, ids) key
+        fault = ids_of(fault_mask)
+        if best is None or (size, fault) < best[:2]:
+            best = (size, fault, tuple(ids_of(p) for p in parts))
     if best is None:
         raise ValueError(f"no witness family with {ell - 1} parts of size <= {B}")
     value, fault, parts = best
@@ -603,12 +602,14 @@ def _splitstar_tight_set(G: CayleyGraph, size: int, target: int) -> tuple[int, .
 
     required = size * G.degree(0) - target  # total overlap the set must achieve
 
-    def search(chosen: tuple[int, ...], union_nb: int, pair_overlap: int):
+    stack = [((0,), adj[0], 0)]  # depth-first, best candidates first
+    while stack:
+        chosen, union_nb, pair_overlap = stack.pop()
         m = len(chosen)
         if m == size:
             if (union_nb & ~mask_of(chosen)).bit_count() == target:
-                return chosen
-            return None
+                return tuple(sorted(chosen))
+            continue
         pool = 0
         for x in chosen:
             pool |= ball2_of(x)
@@ -620,16 +621,11 @@ def _splitstar_tight_set(G: CayleyGraph, size: int, target: int) -> tuple[int, .
             gain = sum((adj[v] & adj[x]).bit_count() for x in chosen)
             if pair_overlap + gain + max_future >= required:
                 cands.append((-gain, v))
-        for neg_gain, v in sorted(cands):
-            found = search(chosen + (v,), union_nb | adj[v], pair_overlap - neg_gain)
-            if found is not None:
-                return found
-        return None
-
-    found = search((0,), adj[0], 0)
-    if found is None:
-        raise ValueError(f"no independent {size}-set with |N(S)| = {target} found")
-    return tuple(sorted(found))
+        stack += [
+            (chosen + (v,), union_nb | adj[v], pair_overlap - neg_gain)
+            for neg_gain, v in sorted(cands, reverse=True)
+        ]
+    raise ValueError(f"no independent {size}-set with |N(S)| = {target} found")
 
 
 # the paper's kappa_l = a*n - b, as (a, b) per (family, l)

@@ -187,17 +187,18 @@ def verify_basic_ag(n: int, graph: CayleyGraph | None = None) -> VerificationRep
 
 def independent_sets_containing_zero(G: CayleyGraph, size: int):
     """All independent sets {0, v_1 < v_2 < ...} of the given size."""
-
-    def extend(chosen: tuple[int, ...], blocked: int, start: int):
+    adj = G.adj_masks
+    stack = [((0,), adj[0] | 1)]  # depth-first, smallest next vertex first
+    while stack:
+        chosen, blocked = stack.pop()
         if len(chosen) == size:
             yield chosen
-            return
-        for v in range(start, G.vertex_count):
-            if blocked >> v & 1:
-                continue
-            yield from extend(chosen + (v,), blocked | G.adj_masks[v] | 1 << v, v + 1)
-
-    yield from extend((0,), G.adj_masks[0] | 1, 1)
+            continue
+        stack += [
+            (chosen + (v,), blocked | adj[v] | 1 << v)
+            for v in range(G.vertex_count - 1, chosen[-1], -1)
+            if not blocked >> v & 1
+        ]
 
 
 def _subset_masks(rng: random.Random, V: int, k: int):

@@ -90,6 +90,45 @@ class TestComponents:
             components(ag4, [99])
 
 
+class TestWordWalk:
+    """``ids_of`` and ``component_masks`` walk masks a 64-bit word at a time."""
+
+    @pytest.mark.parametrize("L", [1, 64, 65, 200, 20_160])
+    def test_ids_of_matches_plain_scan(self, L):
+        rng = random.Random(L)
+        edges = mask_of(b for b in (0, 63, 64, 65, 127, 128, L - 1) if b < L)
+        masks = [0, edges, (1 << L) - 1, 1 << (L - 1)]
+        masks += [edges | rng.getrandbits(L) for _ in range(3)]
+        masks += [edges | mask_of(rng.sample(range(L), min(L, 5))) for _ in range(3)]
+        for m in masks:
+            assert list(ids_of(m)) == [i for i in range(L) if m >> i & 1]
+
+    @staticmethod
+    def assert_components_match(G, removed):
+        want = [mask_of(c) for c in sorted(oracle_components(adjacency_dict(G), removed), key=min)]
+        alive = G.full_mask & ~mask_of(removed)
+        for limit in range(4):
+            assert component_masks(G.adj_masks, alive, limit) == (want[:limit] if limit else want)
+
+    @pytest.mark.parametrize("V", [63, 64, 65, 129, 1000])
+    def test_component_masks_match_oracle_on_sparse_graphs(self, V):
+        rng = random.Random(V)
+        for _ in range(3):
+            G = sparse_random_graph(rng, V)
+            for _ in range(3):
+                self.assert_components_match(G, rng.sample(range(V), rng.randint(0, V // 8)))
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_component_masks_match_oracle_on_a_cut_path(self, relabel):
+        rng = random.Random(1000)
+        order = list(range(1000))
+        if relabel:  # path edges then jump between far-apart words
+            rng.shuffle(order)
+        G = BitGraph.from_edges(1000, zip(order, order[1:]))
+        for cuts in (0, 1, 3, 20):
+            self.assert_components_match(G, rng.sample(range(1000), cuts))
+
+
 def disconnected_lanes(G, masks):
     return split_lanes(G.neighbors, oracle_lanes(masks, G.vertex_count), 2)
 

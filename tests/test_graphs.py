@@ -13,6 +13,7 @@ from kappalab.graphs import (
     classify_edge,
     decompose,
     external_edge_count,
+    mask_of,
     out_neighbors,
     parity_split,
     to_dimacs,
@@ -87,6 +88,19 @@ class TestBuildAg:
 def test_build_matches_ranking_oracle(family, n):
     G = build_ag(n) if family == "ag" else build_splitstar(n)
     assert (G.neighbors, G.adj_masks, G.labels) == oracle_cayley_graph(family, n)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("ag", n) for n in range(3, 9)] + [("s2", n) for n in range(3, 8)],
+)
+def test_build_neighbours_are_distinct_and_sorted(family, n):
+    G = build_ag(n) if family == "ag" else build_splitstar(n)
+    degree = 2 * n - 4 if family == "ag" else 2 * n - 3
+    for ns, m in zip(G.neighbors, G.adj_masks):
+        assert len(ns) == degree
+        assert all(a < b for a, b in zip(ns, ns[1:]))
+        assert m == mask_of(ns)
 
 
 class TestBuildSplitstar:

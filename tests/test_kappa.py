@@ -206,6 +206,19 @@ class TestWitnessSearch:
         with pytest.raises(BudgetExceeded):
             kappa_ell_witness_search(G, ell, B, budget=free.explored - 1)
 
+    @pytest.mark.parametrize(
+        "graph, ell", [("ag4", 3), ("ag4", 4), ("s4", 3), ("s4", 4), ("ag5", 3), ("ag5", 4)]
+    )
+    def test_returns_lex_smallest_minimum_cut_at_b1(self, graph, ell, request):
+        # with B=1 the families are the independent (ell-1)-sets holding 0
+        G = request.getfixturevalue(graph)
+        keys = []
+        for S in independent_sets_containing_zero(G, ell - 1):
+            fault = tuple(sorted(neighborhood(G, S)))
+            if len(S) + len(fault) < G.vertex_count:
+                keys.append((len(fault), fault))
+        assert kappa_ell_witness_search(G, ell, 1).witness.fault == min(keys)[1]
+
     def test_monotone_nonincreasing_in_b(self, ag4):
         v1 = kappa_ell_witness_search(ag4, 3, 1).value
         v2 = kappa_ell_witness_search(ag4, 3, 2).value
@@ -632,6 +645,26 @@ class TestEnumerationHelpers:
             for V, k in ((24, 10), (59, 5), (9, 4), (60, 0), (23, 9)):
                 scan_tasks(V, k, True)
                 scan_tasks(V, k, False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "family, n, search",
+        [
+            ("s2", 5, lambda G: construct_paper_cut(G, 5)),
+            ("s2", 7, lambda G: [construct_paper_cut(G, ell) for ell in (3, 4, 5)]),
+            ("ag", 5, lambda G: kappa_ell_witness_search(G, 4, 2)),
+            ("ag", 5, lambda G: list(independent_sets_containing_zero(G, 2))),
+        ],
+        ids=["tight-set-s5", "tight-sets-s7", "witness-search", "independent-sets"],
+    )
+    def test_searches_leave_no_garbage_cycles(self, family, n, search):
+        G = build_ag(n) if family == "ag" else build_splitstar(n)
+        gc.collect()
+        gc.disable()
+        try:
+            search(G)
             assert gc.collect() == 0
         finally:
             gc.enable()
