@@ -39,7 +39,6 @@ from .graphs import (
 )
 from .connectivity import (
     ComponentReport,
-    FaultSet,
     Shape,
     common_neighbors,
     components,

@@ -63,6 +63,11 @@ H_EXTRA_REFERENCE = {
     (FAMILY_SPLIT_STAR, 3): (8, 24, 4),
 }
 
+# the one family each family-specific lemma verifier is defined on
+LEMMA_FAMILY = {"basic": FAMILY_AG, "neighbor-bounds": FAMILY_AG, "claims": FAMILY_AG,
+                "remark": FAMILY_AG, "splitstar-bounds": FAMILY_SPLIT_STAR}
+
+
 def _default_budget() -> int:
     env = os.environ.get("KAPPALAB_BUDGET")
     if not env:
@@ -156,6 +161,9 @@ def _run_verifier(args, jobs: int):
 
 def cmd_verify(args) -> int:
     jobs = _resolve_jobs(args.jobs)
+    family = LEMMA_FAMILY.get(args.lemma, args.family)
+    if args.family != family:
+        raise ValueError(f"{args.lemma} applies to --family {family} only, got {args.family}")
     if args.lemma == "cut-structure" and args.bound is None:
         raise ValueError("cut-structure requires --bound")
     if args.lemma in ("neighbor-bounds", "splitstar-bounds") and args.set_size is None:

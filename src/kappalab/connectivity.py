@@ -11,8 +11,10 @@ as one int per vertex whose bit j says the vertex survives fault j.
 are thin views of it; :func:`component_report` sorts and classifies its masks.
 Vertex sets cross the API boundary as plain iterables of ids and come back as
 sorted tuples or frozensets; inside they are bitmasks, built by ``mask_of`` and
-listed by ``ids_of`` (both from :mod:`kappalab.graphs`). Every bit walk here
-peels 64-bit words, so its Python steps are linear in the mask length.
+listed by ``ids_of`` (both from :mod:`kappalab.graphs`). A :class:`ComponentReport`
+keeps its component masks and lists their ids only when ``components`` is read.
+Every bit walk here peels 64-bit words, so its Python steps are linear in the
+mask length.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .graphs import BitGraph, ids_of, mask_of
 
 __all__ = [
     "Shape",
-    "FaultSet",
     "ComponentReport",
     "components",
     "component_report",
@@ -148,36 +150,8 @@ def _classify_mask(adj: tuple[int, ...], comp: int) -> Shape:
     return Shape.OTHER
 
 
-@dataclass(frozen=True)
-class FaultSet:
-    """A set of deleted vertices."""
-
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, vertices: Iterable[int]) -> "FaultSet":
-        return cls(frozenset(vertices))
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.members)
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def by_last_symbol(self, G) -> dict[int, frozenset[int]]:
-        """Split along the last-symbol decomposition (the per-part F_i)."""
-        out: dict[int, set[int]] = {i: set() for i in range(1, G.n + 1)}
-        for v in self.members:
-            out[G.last_symbol(v)].add(v)
-        return {i: frozenset(vs) for i, vs in out.items()}
-
-
 def _fault_ids(G: BitGraph, F) -> tuple[int, ...]:
-    if isinstance(F, FaultSet):
-        ids = F.sorted_ids()
-    else:
-        ids = tuple(sorted(set(F)))
+    ids = tuple(sorted(set(F)))
     if ids and not (0 <= ids[0] and ids[-1] < G.vertex_count):
         raise ValueError("fault set contains out-of-range vertex ids")
     return ids
@@ -185,18 +159,23 @@ def _fault_ids(G: BitGraph, F) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Components of G - F, largest first (ties by lowest vertex id)."""
+    """Components of G - F as masks, largest first (ties by lowest vertex id)."""
 
     fault: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     shapes: tuple[Shape, ...]
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex ids of each component, listed on first read."""
+        return tuple(map(ids_of, self.masks))
 
     @property
     def count(self) -> int:
-        return len(self.components)
+        return len(self.masks)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
+        return tuple(m.bit_count() for m in self.masks)
 
     def to_json_dict(self, G: BitGraph) -> dict:
         return {
@@ -215,10 +194,9 @@ class ComponentReport:
 
 def component_report(adj: tuple[int, ...], fault: tuple[int, ...], masks) -> ComponentReport:
     """The report of G - ``fault`` from all of its component masks."""
-    masks = sorted(masks, key=lambda m: (-m.bit_count(), m & -m))
-    comps = tuple(ids_of(m) for m in masks)
+    masks = tuple(sorted(masks, key=lambda m: (-m.bit_count(), m & -m)))
     shapes = tuple(_classify_mask(adj, m) for m in masks)
-    return ComponentReport(fault, comps, shapes)
+    return ComponentReport(fault, masks, shapes)
 
 
 def components(G: BitGraph, F) -> ComponentReport:

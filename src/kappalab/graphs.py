@@ -10,10 +10,11 @@ Both families are Cayley graphs on permutations of ``1..n``:
 Generators act on positions, so the build applies each one to the symbol
 tuples as a fixed position table. Vertex ids are lex positions (among the
 even permutations for AG), equal to ``even_rank`` / ``rank``, so id 0 is
-always the identity. Left multiplication relabels symbols and commutes with
-the generators, so it is a vertex-transitive group of automorphisms
-(:class:`LeftTranslations`); the subset scans use it to test only the fault
-sets through vertex 0.
+always the identity. ``CayleyGraph.labels`` keeps those symbol tuples, and
+``label(v)`` wraps one in a :class:`~kappalab.perms.Perm` only when a caller
+asks. Left multiplication relabels symbols and commutes with the generators,
+so it is a vertex-transitive group of automorphisms (:class:`LeftTranslations`);
+the subset scans use it to test only the fault sets through vertex 0.
 
 Vertex sets are also bitmasks (bit v set iff v is in the set): :func:`mask_of`
 builds one and :func:`ids_of` lists one. ``ids_of`` walks the mask a 64-bit
@@ -30,7 +31,8 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .perms import Parity, Perm, even_rank, exchange, parity, rank, rot_minus, rot_plus
+from .perms import (Parity, Perm, even_rank, exchange, parity, rank, rot_minus, rot_plus,
+                    symbols_text)
 
 FAMILY_AG = "ag"
 FAMILY_SPLIT_STAR = "s2"
@@ -144,11 +146,11 @@ class BitGraph:
 
 @dataclass(frozen=True)
 class CayleyGraph(BitGraph):
-    """AG_n or S_n^2 with vertex labels attached."""
+    """AG_n or S_n^2 with vertex labels attached: ``labels[v]`` is the symbol tuple of v."""
 
     family: str
     n: int
-    labels: tuple[Perm, ...]
+    labels: tuple[tuple[int, ...], ...]
 
     @property
     def is_splitstar(self) -> bool:
@@ -158,24 +160,23 @@ class CayleyGraph(BitGraph):
         return rank(p) if self.is_splitstar else even_rank(p)
 
     def label(self, v: int) -> Perm:
-        return self.labels[v]
+        return Perm(self.labels[v])
 
     def label_text(self, v: int) -> str:
-        return self.labels[v].text()
+        return symbols_text(self.labels[v])
 
     def last_symbol(self, v: int) -> int:
-        return self.labels[v].symbols[-1]
+        return self.labels[v][-1]
 
     @cached_property
     def translations(self) -> LeftTranslations | None:
         """:func:`left_translations` of this graph, checked on first use only."""
         if self.family not in (FAMILY_AG, FAMILY_SPLIT_STAR):
             return None
-        symbols = [p.symbols for p in self.labels]
-        if symbols != _vertex_symbols(self.family, self.n):
+        if self.labels != _vertex_symbols(self.family, self.n):
             return None
-        translations = LeftTranslations(symbols)
-        neighbors = _neighbor_ids(symbols, translations.id_of, _moves(self.family, self.n))
+        translations = LeftTranslations(self.labels)
+        neighbors = _neighbor_ids(self.labels, translations.id_of, _moves(self.family, self.n))
         if self.neighbors != neighbors or any(
             m != mask_of(ns) for m, ns in zip(self.adj_masks, neighbors)
         ):
@@ -198,15 +199,15 @@ def _moves(family: str, n: int) -> list:
     return moves
 
 
-def _vertex_symbols(family: str, n: int) -> list[tuple[int, ...]]:
+def _vertex_symbols(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Symbol tuples of the vertices in lex order; a vertex id is its index."""
     perms = itertools.permutations(range(1, n + 1))
     if family == FAMILY_SPLIT_STAR:
-        return list(perms)
+        return tuple(perms)
     # a permutation is even iff the digit sum of its Lehmer code is, and the
     # codes run through this product in the same lex order as the permutations
     codes = itertools.product(*(range(n - i) for i in range(n)))
-    return [p for p, code in zip(perms, codes) if sum(code) % 2 == 0]
+    return tuple(p for p, code in zip(perms, codes) if sum(code) % 2 == 0)
 
 
 def _neighbor_ids(symbols, id_of: dict, moves) -> tuple[tuple[int, ...], ...]:
@@ -220,7 +221,7 @@ def _build(family: str, n: int) -> CayleyGraph:
     id_of = {s: v for v, s in enumerate(symbols)}
     neighbors = _neighbor_ids(symbols, id_of, _moves(family, n))
     masks = tuple(map(mask_of, neighbors))
-    return CayleyGraph(neighbors, masks, family, n, tuple(map(Perm, symbols)))
+    return CayleyGraph(neighbors, masks, family, n, symbols)
 
 
 def build_ag(n: int) -> CayleyGraph:
@@ -355,14 +356,18 @@ def parity_split(G: CayleyGraph) -> ParitySplit:
     """Split S_n^2 into its even/odd halves and list the matching edges."""
     if not G.is_splitstar:
         raise ValueError("parity_split applies to the split-star family only")
+    id_of = {s: v for v, s in enumerate(G.labels)}
     even = []
     odd = []
-    for v in range(G.vertex_count):
-        (even if parity(G.label(v)) is Parity.EVEN else odd).append(v)
     matching = []
-    for v in even:
-        w = G.vertex_id(exchange(G.label(v)))
-        matching.append((v, w) if v < w else (w, v))
+    for v in range(G.vertex_count):
+        p = G.label(v)
+        if parity(p) is Parity.EVEN:
+            even.append(v)
+            w = id_of[exchange(p).symbols]
+            matching.append((v, w) if v < w else (w, v))
+        else:
+            odd.append(v)
     return ParitySplit(tuple(even), tuple(odd), tuple(sorted(matching)))
 
 

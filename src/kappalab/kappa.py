@@ -404,6 +404,8 @@ def kappa_ell_exhaustive(
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     V = G.vertex_count
     rule_k = max(V - ell + 1, 0)
     cap = rule_k if k_max is None else min(k_max, rule_k)

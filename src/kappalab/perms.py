@@ -20,6 +20,7 @@ __all__ = [
     "MAX_N",
     "Parity",
     "Perm",
+    "symbols_text",
     "parity",
     "swap",
     "exchange",
@@ -68,12 +69,15 @@ class Perm:
         return cls(symbols)
 
     def text(self) -> str:
-        if self.n <= 9:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return symbols_text(self.symbols)
 
     def __str__(self) -> str:
         return self.text()
+
+
+def symbols_text(symbols: tuple[int, ...]) -> str:
+    """The text form of a permutation's symbols: digits for n <= 9, comma-separated above."""
+    return ("" if len(symbols) <= 9 else ",").join(map(str, symbols))
 
 
 def parity(p: Perm) -> Parity:

@@ -108,6 +108,14 @@ class TestKappa:
         assert data["value"] is None
         assert data["inconclusive_above"] is not None
 
+    def test_negative_k_max_is_usage_error(self, capsys):
+        code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "3", "--k-max", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("kappalab: ")
+        assert "Traceback" not in captured.err
+
     def test_rerun_is_byte_identical(self, capsys):
         args = ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--jobs", "2")
         _, out1 = run_cli(capsys, *args)
@@ -203,6 +211,23 @@ class TestVerify:
         assert captured.err.startswith("kappalab: ")
         assert "Traceback" not in captured.err
         assert "randrange" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("basic", "--family", "s2", "--n", "5"),
+        ("neighbor-bounds", "--family", "s2", "--n", "5", "--set-size", "3"),
+        ("claims", "--family", "s2", "--n", "5"),
+        ("remark", "--family", "s2", "--n", "5"),
+        ("splitstar-bounds", "--family", "ag", "--n", "5", "--set-size", "2"),
+    ], ids=["basic-s2", "neighbor-bounds-s2", "claims-s2", "remark-s2",
+            "splitstar-bounds-ag"])
+    def test_lemma_of_the_other_family_is_usage_error(self, capsys, argv):
+        code = main(["verify", "--lemma", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("kappalab: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_sampled_cut_structure_deterministic(self, capsys):
         args = (

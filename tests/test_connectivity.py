@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappalab.connectivity import (
-    FaultSet,
     Shape,
     common_neighbors,
     component_masks,
@@ -18,7 +17,7 @@ from kappalab.connectivity import (
     split_lanes,
     vertex_connectivity,
 )
-from kappalab.graphs import BitGraph, decompose
+from kappalab.graphs import BitGraph
 from kappalab.perms import Perm
 
 from .oracles import (
@@ -80,10 +79,6 @@ class TestComponents:
             masks = component_masks(ag4.adj_masks, alive, limit)
             want = in_id_order[:limit] if limit else in_id_order
             assert [frozenset(ids_of(m)) for m in masks] == want
-
-    def test_accepts_fault_set_objects(self, ag4):
-        fs = FaultSet.of(vids(ag4, *AG4_FOUR_CYCLE_FAULT))
-        assert components(ag4, fs).count == 2
 
     def test_rejects_out_of_range_ids(self, ag4):
         with pytest.raises(ValueError):
@@ -323,16 +318,6 @@ class TestVertexConnectivity:
                     break
             assert brute is not None
             assert vertex_connectivity(G) == brute
-
-
-class TestFaultSet:
-    def test_split_matches_decomposition(self, ag4):
-        fs = FaultSet.of(range(7))
-        split = fs.by_last_symbol(ag4)
-        parts = decompose(ag4).parts
-        for i, members in split.items():
-            assert members == fs.members & set(parts[i])
-        assert frozenset().union(*split.values()) == fs.members
 
 
 class TestCountComponents:

@@ -78,7 +78,7 @@ class TestBuildAg:
                 assert ag4.has_edge(v, u)
 
     def test_all_labels_even(self, ag5):
-        assert all(parity(p) is Parity.EVEN for p in ag5.labels)
+        assert all(parity(ag5.label(v)) is Parity.EVEN for v in range(ag5.vertex_count))
 
 
 @pytest.mark.parametrize(
@@ -87,7 +87,36 @@ class TestBuildAg:
 )
 def test_build_matches_ranking_oracle(family, n):
     G = build_ag(n) if family == "ag" else build_splitstar(n)
-    assert (G.neighbors, G.adj_masks, G.labels) == oracle_cayley_graph(family, n)
+    neighbors, masks, labels = oracle_cayley_graph(family, n)
+    assert (G.neighbors, G.adj_masks, G.labels) == (
+        neighbors, masks, tuple(p.symbols for p in labels))
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("ag", n) for n in range(3, 9)] + [("s2", n) for n in range(3, 8)],
+)
+def test_labels_are_symbol_tuples(family, n):
+    G = build_ag(n) if family == "ag" else build_splitstar(n)
+    for v, symbols in enumerate(G.labels):
+        assert type(symbols) is tuple
+        p = G.label(v)
+        assert p.symbols == symbols
+        assert G.label_text(v) == p.text()
+        assert G.last_symbol(v) == p.symbols[-1]
+
+
+def test_build_constructs_no_perm_per_vertex(monkeypatch):
+    made = []
+    post_init = Perm.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Perm, "__post_init__", counted)
+    G = build_ag(7)
+    assert len(made) < 10 * G.n
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from kappalab.connectivity import (
     common_neighbors,
     component_masks,
     components,
+    ids_of,
     is_connected_after,
     is_independent,
     mask_of,
@@ -153,6 +154,10 @@ class TestExhaustive:
     def test_rejects_ell_below_two(self, ag4):
         with pytest.raises(ValueError):
             kappa_ell_exhaustive(ag4, 1)
+
+    def test_rejects_negative_k_max(self, ag4):
+        with pytest.raises(ValueError, match="k_max"):
+            kappa_ell_exhaustive(ag4, 3, k_max=-1)
 
 
 class TestWitnessSearch:
@@ -361,6 +366,13 @@ class TestPaperCuts:
             w = construct_paper_cut(s4, ell)
             assert len(w.fault) == expect
             assert w.report.count >= ell
+
+    def test_report_lists_component_ids_only_when_read(self):
+        w = construct_paper_cut(build_ag(7), 3)
+        assert "components" not in vars(w.report)
+        assert w.report.sizes() == tuple(m.bit_count() for m in w.report.masks)
+        assert w.report.components == tuple(map(ids_of, w.report.masks))
+        assert "components" in vars(w.report)
 
     def test_out_of_range_rejected(self, ag4):
         with pytest.raises(ValueError):
