@@ -146,6 +146,9 @@ def _run_verifier(args, jobs: int):
         rule = CUT_RULES[args.rule] if args.rule else rule_for(
             args.family, args.n, args.bound
         )
+        if not rule.covers(args.family, args.n, args.bound):
+            raise ValueError(f"rule {rule.key} does not cover {args.family} n={args.n} "
+                             f"bound={args.bound}")
         return verify_cut_structure(
             G,
             args.bound,
@@ -302,6 +305,8 @@ def main(argv=None) -> int:
     try:
         if args.budget is None:
             args.budget = _default_budget()
+        if args.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {args.budget}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"kappalab: {exc}", file=sys.stderr)

@@ -1,14 +1,15 @@
 """Components of G - F, small-component shapes, neighborhoods, and exact
 vertex connectivity.
 
-Everything here operates on bitmask adjacency (``BitGraph.adj_masks``) so the
-solvers can test tens of millions of fault sets without materializing vertex
-sets. :func:`split_lanes`, the subset scans' filter, finds for a whole batch
-of faults at once those leaving at least ``need`` components; the batch comes
-as one int per vertex whose bit j says the vertex survives fault j.
-:func:`component_masks` is the one routine that returns components:
-:func:`count_components`, :func:`is_connected_after` and :func:`components`
-are thin views of it; :func:`component_report` sorts and classifies its masks.
+Components are found by two walks, each chosen by its caller. The subset
+scans walk bitmask adjacency (``BitGraph.adj_masks``): :func:`split_lanes`
+flags, for a batch of faults at once (one int per vertex whose bit j says the
+vertex survives fault j), those leaving at least ``need`` components, and
+:func:`component_masks` returns the components of each hit
+(:func:`count_components` and :func:`is_connected_after` are views of it).
+:func:`components`, which ``verify_cut`` and the paper cuts call on graphs of up
+to 20,160 vertices, walks the neighbour lists with a set frontier instead; it,
+:func:`component_report` and the neighbourhood helpers never build the masks.
 Vertex sets cross the API boundary as plain iterables of ids and come back as
 sorted tuples or frozensets; inside they are bitmasks, built by ``mask_of`` and
 listed by ``ids_of`` (both from :mod:`kappalab.graphs`). A :class:`ComponentReport`
@@ -133,7 +134,7 @@ class Shape(Enum):
     OTHER = "other"
 
 
-def _classify_mask(adj: tuple[int, ...], comp: int) -> Shape:
+def _classify_mask(neighbors: tuple[tuple[int, ...], ...], comp: int) -> Shape:
     size = comp.bit_count()
     if size == 1:
         return Shape.SINGLETON
@@ -141,7 +142,7 @@ def _classify_mask(adj: tuple[int, ...], comp: int) -> Shape:
         return Shape.EDGE
     if size > 4:
         return Shape.OTHER
-    degrees = [(adj[v] & comp).bit_count() for v in ids_of(comp)]
+    degrees = [sum(comp >> u & 1 for u in neighbors[v]) for v in ids_of(comp)]
     edges = sum(degrees) // 2
     if size == 3:
         return Shape.THREE_CYCLE if edges == 3 else Shape.TWO_PATH
@@ -150,10 +151,10 @@ def _classify_mask(adj: tuple[int, ...], comp: int) -> Shape:
     return Shape.OTHER
 
 
-def _fault_ids(G: BitGraph, F) -> tuple[int, ...]:
-    ids = tuple(sorted(set(F)))
+def _vertex_ids(G: BitGraph, S) -> tuple[int, ...]:
+    ids = tuple(sorted(set(S)))
     if ids and not (0 <= ids[0] and ids[-1] < G.vertex_count):
-        raise ValueError("fault set contains out-of-range vertex ids")
+        raise ValueError("vertex set contains out-of-range vertex ids")
     return ids
 
 
@@ -192,45 +193,56 @@ class ComponentReport:
         }
 
 
-def component_report(adj: tuple[int, ...], fault: tuple[int, ...], masks) -> ComponentReport:
+def component_report(neighbors: tuple[tuple[int, ...], ...], fault: tuple[int, ...],
+                     masks) -> ComponentReport:
     """The report of G - ``fault`` from all of its component masks."""
     masks = tuple(sorted(masks, key=lambda m: (-m.bit_count(), m & -m)))
-    shapes = tuple(_classify_mask(adj, m) for m in masks)
+    shapes = tuple(_classify_mask(neighbors, m) for m in masks)
     return ComponentReport(fault, masks, shapes)
 
 
 def components(G: BitGraph, F) -> ComponentReport:
-    fault = _fault_ids(G, F)
-    alive = G.full_mask & ~mask_of(fault)
-    return component_report(G.adj_masks, fault, component_masks(G.adj_masks, alive))
+    """The report of G - F from a set-frontier walk of G's neighbour lists.
+
+    Roots go in increasing id, as in :func:`component_masks`. Each mask is
+    parsed once from a V-digit binary string, in time linear in V.
+    """
+    fault = _vertex_ids(G, F)
+    neighbors, V = G.neighbors, G.vertex_count
+    seen, masks = set(fault), []
+    for root in range(V):
+        if root not in seen:
+            comp, frontier = [], {root}
+            while frontier:
+                seen |= frontier
+                comp += frontier
+                frontier = {u for v in frontier for u in neighbors[v]} - seen
+            digits = bytearray(b"0") * V
+            for v in comp:
+                digits[~v] = 49  # the "1" of bit v
+            masks.append(int(digits, 2))
+    return component_report(neighbors, fault, masks)
 
 
 def neighborhood_mask(G: BitGraph, smask: int) -> int:
-    adj = G.adj_masks
-    out = 0
-    for v in ids_of(smask):
-        out |= adj[v]
-    return out & ~smask
+    return mask_of(neighborhood(G, ids_of(smask)))
 
 
 def neighborhood(G: BitGraph, S: Iterable[int]) -> frozenset[int]:
     """N(S): vertices outside S adjacent to some member of S."""
-    return frozenset(ids_of(neighborhood_mask(G, mask_of(S))))
+    S = frozenset(_vertex_ids(G, S))
+    return frozenset().union(*map(G.neighbors.__getitem__, S)) - S
 
 
 def common_neighbors(G: BitGraph, u: int, v: int) -> frozenset[int]:
     if u == v:
         raise ValueError("common_neighbors requires distinct vertices")
-    return frozenset(ids_of(G.adj_masks[u] & G.adj_masks[v]))
+    return frozenset(G.neighbors[u]).intersection(G.neighbors[v])
 
 
 def is_independent(G: BitGraph, S: Iterable[int]) -> bool:
-    smask = mask_of(S)
-    adj = G.adj_masks
-    for v in ids_of(smask):
-        if adj[v] & smask:
-            return False
-    return True
+    S = frozenset(_vertex_ids(G, S))
+    return not any(S.intersection(G.neighbors[v]) for v in S)
 
 
 def _max_vertex_disjoint_paths(G: BitGraph, s: int, t: int, cap: int) -> int:

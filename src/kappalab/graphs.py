@@ -16,6 +16,9 @@ asks. Left multiplication relabels symbols and commutes with the generators,
 so it is a vertex-transitive group of automorphisms (:class:`LeftTranslations`);
 the subset scans use it to test only the fault sets through vertex 0.
 
+A :class:`BitGraph` holds sorted neighbour lists only. Its ``adj_masks``,
+one bitmask per vertex, are derived from them the first time a subset scan
+reads them, so building and cutting ``AG_8`` never holds its V^2 bits.
 Vertex sets are also bitmasks (bit v set iff v is in the set): :func:`mask_of`
 builds one and :func:`ids_of` lists one. ``ids_of`` walks the mask a 64-bit
 word at a time: one Python step per word and per set bit, linear in the mask
@@ -94,15 +97,14 @@ def ids_of(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BitGraph:
-    """Immutable undirected graph over vertices ``0..V-1``.
-
-    ``neighbors`` holds sorted adjacency tuples; ``adj_masks`` the same
-    adjacency as one bitmask per vertex, which is what every solver loop
-    operates on.
-    """
+    """Immutable undirected graph over vertices ``0..V-1``: sorted neighbour
+    tuples, and ``adj_masks``, one bitmask per vertex, built on first read."""
 
     neighbors: tuple[tuple[int, ...], ...]
-    adj_masks: tuple[int, ...]
+
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        return tuple(map(mask_of, self.neighbors))
 
     @property
     def vertex_count(self) -> int:
@@ -120,7 +122,7 @@ class BitGraph:
         return len(self.neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
+        return v in self.neighbors[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -137,8 +139,7 @@ class BitGraph:
                 raise ValueError(f"loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        neighbors = tuple(tuple(sorted(ns)) for ns in adj)
-        return cls(neighbors, tuple(map(mask_of, neighbors)))
+        return cls(tuple(tuple(sorted(ns)) for ns in adj))
 
     def label_text(self, v: int) -> str:
         return str(v)
@@ -176,10 +177,8 @@ class CayleyGraph(BitGraph):
         if self.labels != _vertex_symbols(self.family, self.n):
             return None
         translations = LeftTranslations(self.labels)
-        neighbors = _neighbor_ids(self.labels, translations.id_of, _moves(self.family, self.n))
-        if self.neighbors != neighbors or any(
-            m != mask_of(ns) for m, ns in zip(self.adj_masks, neighbors)
-        ):
+        moves = _moves(self.family, self.n)
+        if self.neighbors != _neighbor_ids(self.labels, translations.id_of, moves):
             return None
         return translations
 
@@ -219,9 +218,7 @@ def _neighbor_ids(symbols, id_of: dict, moves) -> tuple[tuple[int, ...], ...]:
 def _build(family: str, n: int) -> CayleyGraph:
     symbols = _vertex_symbols(family, n)
     id_of = {s: v for v, s in enumerate(symbols)}
-    neighbors = _neighbor_ids(symbols, id_of, _moves(family, n))
-    masks = tuple(map(mask_of, neighbors))
-    return CayleyGraph(neighbors, masks, family, n, symbols)
+    return CayleyGraph(_neighbor_ids(symbols, id_of, _moves(family, n)), family, n, symbols)
 
 
 def build_ag(n: int) -> CayleyGraph:
@@ -275,8 +272,8 @@ class LeftTranslations:
 def left_translations(G: BitGraph) -> LeftTranslations | None:
     """G's left translations if G is exactly AG_n or S_n^2 as built here, else None.
 
-    Checks the labels, ``neighbors`` and ``adj_masks`` against the family's
-    generators vertex by vertex, so an edited copy of a built graph, or a
+    Checks the labels and ``neighbors`` against the family's generators
+    vertex by vertex, so an edited copy of a built graph, or a
     plain BitGraph, gets None. Memory stays linear in the vertex count. The
     graph is immutable, so the answer is kept on it (``CayleyGraph.translations``)
     and later scans of the same graph object do not check again.

@@ -501,7 +501,8 @@ def kappa_ell_witness_search(
     full = G.full_mask
     best: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
     explored = 0  # complete witness families visited
-    # depth-first over partial families: (parts, union, N(union), next parts)
+    # depth-first over partial families: (parts, union, nbhd, next parts), where
+    # nbhd ORs the adjacency masks of the union, so N(union) = nbhd & ~union
     stack = [([], 0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
     while stack:
         parts, union, nbhd, nexts = stack[-1]
@@ -510,7 +511,9 @@ def kappa_ell_witness_search(
             stack.pop()
             continue
         pmask, a = step
-        parts, union, nbhd = parts + [pmask], union | pmask, nbhd | neighborhood_mask(G, pmask)
+        parts, union = parts + [pmask], union | pmask
+        for v in ids_of(pmask):
+            nbhd |= adj[v]
         if len(parts) < ell - 1:
             stack.append((parts, union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
             continue
@@ -568,15 +571,11 @@ def remark_independent_set(G: CayleyGraph, size: int, i: int, j: int) -> tuple[i
 def _ag_four_cycle_cut(G: CayleyGraph) -> tuple[int, ...]:
     """N({w, y}) for the lex-first 4-cycle (w, x, y, z) through the identity."""
     e = 0
-    ne = G.neighbors[e]
-    nmask = G.adj_masks[e]
-    for a_idx in range(len(ne)):
-        for b_idx in range(a_idx + 1, len(ne)):
-            a, b = ne[a_idx], ne[b_idx]
-            commons = G.adj_masks[a] & G.adj_masks[b] & ~nmask & ~(1 << e)
-            if commons:
-                y = (commons & -commons).bit_length() - 1
-                return ids_of(neighborhood_mask(G, (1 << e) | (1 << y)))
+    near = {e, *G.neighbors[e]}
+    for a, b in itertools.combinations(G.neighbors[e], 2):
+        commons = set(G.neighbors[a]).intersection(G.neighbors[b]) - near
+        if commons:
+            return ids_of(neighborhood_mask(G, (1 << e) | (1 << min(commons))))
     raise ValueError("no 4-cycle through the identity")
 
 

@@ -22,6 +22,7 @@ from .connectivity import (
     ComponentReport,
     Shape,
     common_neighbors,
+    component_masks,
     component_report,
     components,
     ids_of,
@@ -437,6 +438,10 @@ class CutStructureRule:
     # marks outcomes worth listing individually (the n=4 4-cycle clauses)
     exceptional: Callable[[ComponentReport], bool] | None = None
 
+    def covers(self, family: str, n: int, bound: int) -> bool:
+        """True iff the rule speaks for faults of up to ``bound`` vertices of G_n."""
+        return self.family == family and n >= self.min_n and self.bound(n) >= bound
+
 
 def _signature(report: ComponentReport) -> str:
     return ",".join(s.value for s in report.shapes)
@@ -563,7 +568,7 @@ CUT_RULES: dict[str, CutStructureRule] = {
 def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
     """The strictest registered rule covering faults of the given bound."""
     for rule in CUT_RULES.values():
-        if rule.family == family and n >= rule.min_n and rule.bound(n) >= bound:
+        if rule.covers(family, n, bound):
             return rule
     raise ValueError(f"no cut-structure rule for family={family}, n={n}, bound={bound}")
 
@@ -599,14 +604,15 @@ def _census(batches, fsize):
         found.extend(translations.translates(report.fault) if orbit else [report.fault])
 
     for fm, comps in scan_hits(G, batches, 2, 0):
-        report = component_report(G.adj_masks, ids_of(fm), comps)
+        report = component_report(G.neighbors, ids_of(fm), comps)
         if translations is None:
             tally(report, 1, False)
         elif len(set(report.sizes())) == report.count:
             tally(report, G.vertex_count, True)
         else:
             for f in translations.translates(report.fault):
-                tally(components(G, f), 1, False)
+                masks = component_masks(G.adj_masks, G.full_mask ^ mask_of(f))
+                tally(component_report(G.neighbors, f, masks), 1, False)
     return fsize, violations, outcomes, exc_faults
 
 

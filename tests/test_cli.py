@@ -229,6 +229,20 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "ag", "--n", "4", "--bound", "6", "--rule", "ag-4n-11"),
+        ("--family", "ag", "--n", "4", "--bound", "4", "--rule", "ag-6n-20"),
+        ("--family", "ag", "--n", "4", "--bound", "5", "--rule", "s2-4n-8"),
+        ("--family", "s2", "--n", "4", "--bound", "3", "--rule", "ag-4n-11"),
+    ], ids=["bound-past-rule", "n-below-min-n", "ag-graph-s2-rule", "s2-graph-ag-rule"])
+    def test_rule_outside_its_scope_is_usage_error(self, capsys, argv):
+        code = main(["verify", "--lemma", "cut-structure", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("kappalab: rule ")
+        assert captured.err.count("\n") == 1
+
     def test_sampled_cut_structure_deterministic(self, capsys):
         args = (
             "verify", "--lemma", "cut-structure", "--family", "ag", "--n", "5",
@@ -347,6 +361,23 @@ class TestConfigResolution:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("kappalab: KAPPALAB_BUDGET")
+
+    @pytest.mark.parametrize("argv", [
+        ("kappa", "--family", "ag", "--n", "4", "--ell", "3"),
+        ("verify", "--lemma", "cut-structure", "--family", "ag", "--n", "4", "--bound", "5"),
+        ("table", "--n-max", "4"),
+    ], ids=["kappa", "verify", "table"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch, argv, source):
+        if source == "flag":
+            argv += ("--budget", "-1")
+        else:
+            monkeypatch.setenv("KAPPALAB_BUDGET", "-1")
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "kappalab: budget must be >= 0, got -1\n"
 
     def test_jobs_zero_auto_detect_recorded(self, capsys):
         import os

@@ -8,6 +8,7 @@ from kappalab.connectivity import (
     Shape,
     common_neighbors,
     component_masks,
+    component_report,
     components,
     count_components,
     ids_of,
@@ -17,7 +18,7 @@ from kappalab.connectivity import (
     split_lanes,
     vertex_connectivity,
 )
-from kappalab.graphs import BitGraph
+from kappalab.graphs import BitGraph, build_ag, build_splitstar
 from kappalab.perms import Perm
 
 from .oracles import (
@@ -83,6 +84,46 @@ class TestComponents:
     def test_rejects_out_of_range_ids(self, ag4):
         with pytest.raises(ValueError):
             components(ag4, [99])
+
+
+class TestNeighbourListWalk:
+    """``components`` walks neighbour lists; the scans' ``component_masks``
+    walks ``adj_masks``. Both must give the same report."""
+
+    @staticmethod
+    def faults(G, rng):
+        V = G.vertex_count
+        yield ()
+        yield range(1, V)  # all but one
+        yield range(V)  # nothing left
+        independent = set()
+        for v in rng.sample(range(V), V):
+            if independent.isdisjoint(G.neighbors[v]):
+                independent.add(v)
+        yield set(range(V)) - independent  # every survivor a singleton
+        yield neighborhood(G, sorted(independent)[:5])  # five singletons and the rest
+        for _ in range(20):
+            yield rng.sample(range(V), rng.randint(0, V - 1))
+
+    def assert_walks_agree(self, G, seed):
+        for F in self.faults(G, random.Random(seed)):
+            fault = tuple(sorted(set(F)))
+            alive = G.full_mask & ~mask_of(fault)
+            want = component_report(G.neighbors, fault, component_masks(G.adj_masks, alive))
+            got = components(G, F)
+            assert got == want
+            assert got.components == want.components
+
+    @pytest.mark.parametrize("build,n", [(build_ag, n) for n in range(3, 7)]
+                             + [(build_splitstar, n) for n in range(3, 6)])
+    def test_matches_mask_walk_on_built_graphs(self, build, n):
+        self.assert_walks_agree(build(n), n)
+
+    @pytest.mark.parametrize("V", [63, 64, 65, 129])
+    def test_matches_mask_walk_on_random_graphs(self, V):
+        rng = random.Random(V)
+        for _ in range(3):
+            self.assert_walks_agree(sparse_random_graph(rng, V), rng.random())
 
 
 class TestWordWalk:
@@ -265,6 +306,13 @@ class TestIsIndependent:
         u = 0
         v = ag4.neighbors[0][0]
         assert not is_independent(ag4, [u, v])
+
+    @pytest.mark.parametrize("S", [[-1], [3, 12]])
+    def test_out_of_range_ids_rejected_with_neighborhood(self, ag4, S):
+        with pytest.raises(ValueError):
+            is_independent(ag4, S)
+        with pytest.raises(ValueError):
+            neighborhood(ag4, S)
 
 
 class TestVertexConnectivity:

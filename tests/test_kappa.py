@@ -16,9 +16,11 @@ from kappalab.connectivity import (
     is_independent,
     mask_of,
     neighborhood,
+    neighborhood_mask,
     vertex_connectivity,
 )
-from kappalab.graphs import BitGraph, build_ag, build_splitstar, left_translations
+from kappalab.graphs import (BitGraph, build_ag, build_splitstar, left_translations, to_dimacs,
+                             to_json_dict)
 from kappalab.kappa import (
     DEFAULT_BUDGET,
     SCAN_BATCH,
@@ -374,6 +376,22 @@ class TestPaperCuts:
         assert w.report.components == tuple(map(ids_of, w.report.masks))
         assert "components" in vars(w.report)
 
+    def test_only_a_scan_builds_the_adjacency_masks(self):
+        G = build_ag(7)
+        to_json_dict(G)
+        to_dimacs(G)
+        for ell in (3, 4, 5):
+            w = construct_paper_cut(G, ell)
+            assert verify_cut(G, w.fault, ell) == w
+        S = remark_independent_set(G, 3, 3, 4)
+        assert neighborhood_mask(G, mask_of(S)) == mask_of(neighborhood(G, S))
+        assert common_neighbors(G, S[0], S[1]) and is_independent(G, S)
+        assert "adj_masks" not in vars(G)
+        kappa_ell_exhaustive(G, 2, k_max=1)
+        masks = vars(G)["adj_masks"]
+        assert G.adj_masks is masks
+        assert masks == tuple(map(mask_of, G.neighbors))
+
     def test_out_of_range_rejected(self, ag4):
         with pytest.raises(ValueError):
             construct_paper_cut(ag4, 5)  # needs n >= 5
@@ -610,6 +628,15 @@ class TestScanMemory:
         G = build_splitstar(4)
         left_translations(G)
         assert self.traced_peak(lambda: verify_cut_structure(G, 8, "s2-4n-8")) <= 650_000
+
+    def test_ag8_build_and_paper_cuts_hold_no_adjacency_masks(self):
+        # 56.4 MB while every graph kept one V-bit mask per vertex (48.8 MiB on AG_8)
+        def build_and_cut():
+            G = build_ag(8)
+            for ell in (3, 4, 5):
+                construct_paper_cut(G, ell)
+
+        assert self.traced_peak(build_and_cut) <= 16_000_000
 
 
 class TestAg4EightCutCensus:

@@ -34,10 +34,7 @@ def drop_edge(G, u, v):
     neighbors = list(G.neighbors)
     neighbors[u] = tuple(x for x in neighbors[u] if x != v)
     neighbors[v] = tuple(x for x in neighbors[v] if x != u)
-    masks = list(G.adj_masks)
-    masks[u] &= ~(1 << v)
-    masks[v] &= ~(1 << u)
-    return CayleyGraph(tuple(neighbors), tuple(masks), G.family, G.n, G.labels)
+    return CayleyGraph(tuple(neighbors), G.family, G.n, G.labels)
 
 
 def add_edge(G, u, v):
@@ -45,10 +42,7 @@ def add_edge(G, u, v):
     neighbors = list(G.neighbors)
     neighbors[u] = tuple(sorted(neighbors[u] + (v,)))
     neighbors[v] = tuple(sorted(neighbors[v] + (u,)))
-    masks = list(G.adj_masks)
-    masks[u] |= 1 << v
-    masks[v] |= 1 << u
-    return CayleyGraph(tuple(neighbors), tuple(masks), G.family, G.n, G.labels)
+    return CayleyGraph(tuple(neighbors), G.family, G.n, G.labels)
 
 
 class TestBasicAg:

@@ -41,13 +41,12 @@ class TestGate:
         assert left_translations(build(n)) is not None
 
     def test_rejects_edited_and_plain_graphs(self, ag4, s4):
-        assert left_translations(BitGraph(ag4.neighbors, ag4.adj_masks)) is None
+        assert left_translations(BitGraph(ag4.neighbors)) is None
         assert left_translations(drop_edge(ag4, 0, ag4.neighbors[0][0])) is None
         assert left_translations(add_edge(s4, 0, 23)) is None
-        relabelled = CayleyGraph(ag4.neighbors, ag4.adj_masks, ag4.family, ag4.n,
-                                 ag4.labels[1:] + ag4.labels[:1])
+        relabelled = CayleyGraph(ag4.neighbors, ag4.family, ag4.n, ag4.labels[1:] + ag4.labels[:1])
         assert left_translations(relabelled) is None
-        other_family = CayleyGraph(s4.neighbors, s4.adj_masks, "ag", 4, s4.labels)
+        other_family = CayleyGraph(s4.neighbors, "ag", 4, s4.labels)
         assert left_translations(other_family) is None
 
     def test_answer_is_kept_on_the_graph(self):
