@@ -53,7 +53,6 @@ from .kappa import (
     HyperScanReport,
     KappaResult,
     Tier,
-    WitnessFamily,
     construct_paper_cut,
     hyper_connectivity_scan,
     kappa_ell_exhaustive,

@@ -79,6 +79,8 @@ def _default_budget() -> int:
 
 
 def _resolve_jobs(jobs: int) -> int:
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
@@ -108,25 +110,24 @@ def cmd_gen(args) -> int:
 
 def cmd_kappa(args) -> int:
     G = build_family(args.family, args.n)
-    jobs = _resolve_jobs(args.jobs)
     if args.witness:
         result = kappa_ell_witness_search(G, args.ell, args.B, budget=args.budget)
     else:
         result = kappa_ell_exhaustive(
-            G, args.ell, k_max=args.k_max, budget=args.budget, jobs=jobs
+            G, args.ell, k_max=args.k_max, budget=args.budget, jobs=args.jobs
         )
     payload = {
         "schema": SCHEMA_VERSION,
         "family": args.family,
         "n": args.n,
-        "jobs": jobs,
+        "jobs": args.jobs,
         **result.to_json_dict(G),
     }
     _write_output(_canonical_json(payload), args.output)
     return EXIT_INCONCLUSIVE if result.inconclusive else EXIT_OK
 
 
-def _run_verifier(args, jobs: int):
+def _run_verifier(args):
     if args.lemma == "basic":
         return verify_basic_ag(args.n)
     if args.lemma == "neighbor-bounds":
@@ -156,14 +157,13 @@ def _run_verifier(args, jobs: int):
             mode=args.mode,
             trials=args.trials,
             seed=args.seed,
-            jobs=jobs,
+            jobs=args.jobs,
             budget=args.budget,
         )
     raise ValueError(f"unknown lemma id {args.lemma!r}")
 
 
 def cmd_verify(args) -> int:
-    jobs = _resolve_jobs(args.jobs)
     family = LEMMA_FAMILY.get(args.lemma, args.family)
     if args.family != family:
         raise ValueError(f"{args.lemma} applies to --family {family} only, got {args.family}")
@@ -171,8 +171,8 @@ def cmd_verify(args) -> int:
         raise ValueError("cut-structure requires --bound")
     if args.lemma in ("neighbor-bounds", "splitstar-bounds") and args.set_size is None:
         raise ValueError(f"{args.lemma} requires --set-size")
-    report = _run_verifier(args, jobs)
-    payload = {"schema": SCHEMA_VERSION, "jobs": jobs, **report.to_json_dict()}
+    report = _run_verifier(args)
+    payload = {"schema": SCHEMA_VERSION, "jobs": args.jobs, **report.to_json_dict()}
     _write_output(_canonical_json(payload), args.output)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
@@ -219,7 +219,6 @@ TABLE_FIELDS = [
 
 
 def cmd_table(args) -> int:
-    jobs = _resolve_jobs(args.jobs)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     for f in families:
         if f not in (FAMILY_AG, FAMILY_SPLIT_STAR):
@@ -227,6 +226,9 @@ def cmd_table(args) -> int:
     ells = sorted(int(e) for e in args.ells.split(","))
     if any(e not in (3, 4, 5) for e in ells):
         raise ValueError("ells must be drawn from {3, 4, 5}")
+    for name, entries in (("families", families), ("ells", ells)):
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"--{name} repeats an entry")
     graphs = {}
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_FIELDS, lineterminator="\n")
@@ -235,7 +237,7 @@ def cmd_table(args) -> int:
         if (family, n) not in graphs:
             graphs[(family, n)] = build_family(family, n)
         writer.writerow(
-            _table_row(graphs[(family, n)], family, ell, n, args.budget, jobs)
+            _table_row(graphs[(family, n)], family, ell, n, args.budget, args.jobs)
         )
     _write_output(buf.getvalue(), args.output)
     return EXIT_OK
@@ -307,6 +309,7 @@ def main(argv=None) -> int:
             args.budget = _default_budget()
         if args.budget < 0:
             raise ValueError(f"budget must be >= 0, got {args.budget}")
+        args.jobs = _resolve_jobs(args.jobs)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"kappalab: {exc}", file=sys.stderr)

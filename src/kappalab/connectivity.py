@@ -38,7 +38,6 @@ __all__ = [
     "count_components",
     "is_connected_after",
     "neighborhood",
-    "neighborhood_mask",
     "common_neighbors",
     "is_independent",
     "vertex_connectivity",
@@ -224,10 +223,6 @@ def components(G: BitGraph, F) -> ComponentReport:
     return component_report(neighbors, fault, masks)
 
 
-def neighborhood_mask(G: BitGraph, smask: int) -> int:
-    return mask_of(neighborhood(G, ids_of(smask)))
-
-
 def neighborhood(G: BitGraph, S: Iterable[int]) -> frozenset[int]:
     """N(S): vertices outside S adjacent to some member of S."""
     S = frozenset(_vertex_ids(G, S))
@@ -237,6 +232,7 @@ def neighborhood(G: BitGraph, S: Iterable[int]) -> frozenset[int]:
 def common_neighbors(G: BitGraph, u: int, v: int) -> frozenset[int]:
     if u == v:
         raise ValueError("common_neighbors requires distinct vertices")
+    _vertex_ids(G, (u, v))  # range check
     return frozenset(G.neighbors[u]).intersection(G.neighbors[v])
 
 

@@ -7,9 +7,9 @@ l components or fewer than l vertices. Three tiers:
   and the oracle every other tier is judged against.
 * :func:`kappa_ell_witness_search` - bounded search over families of l-1
   disjoint, pairwise nonadjacent, connected parts; always an upper bound.
-* :func:`construct_paper_cut` - the explicit tight cuts (4-cycle opposite
-  pairs, the double-rotation independent sets, and their split-star
-  analogues), verified on the built graph.
+* :func:`construct_paper_cut` - the explicit tight cuts N(S), S the first
+  l-1 members of one fixed independent 4-set per family (:data:`PAPER_SETS`),
+  verified on the built graph.
 
 :func:`verify_cut` certifies any fault set against the definition, and
 :func:`hyper_connectivity_scan` censuses all minimum-size cuts.
@@ -43,9 +43,8 @@ from .connectivity import (
     component_masks,
     components,
     ids_of,
-    is_connected_after,
     mask_of,
-    neighborhood_mask,
+    neighborhood,
     split_lanes,
 )
 from .graphs import FAMILY_AG, FAMILY_SPLIT_STAR, BitGraph, CayleyGraph, left_translations
@@ -62,7 +61,6 @@ __all__ = [
     "CutWitness",
     "CutRefusal",
     "KappaResult",
-    "WitnessFamily",
     "HyperScanReport",
     "verify_cut",
     "kappa_ell_exhaustive",
@@ -127,44 +125,6 @@ def verify_cut(G: BitGraph, F, ell: int) -> CutWitness | CutRefusal:
     if report.count >= ell or G.vertex_count - len(fault) < ell:
         return CutWitness(fault, report, ell)
     return CutRefusal(fault, ell, report.count)
-
-
-@dataclass(frozen=True)
-class WitnessFamily:
-    """l-1 disjoint, pairwise nonadjacent, connected parts.
-
-    Deleting the neighborhood of the union isolates every part, so
-    |N(union)| is an upper bound on kappa_l.
-    """
-
-    parts: tuple[tuple[int, ...], ...]
-
-    def union_mask(self) -> int:
-        return mask_of(v for part in self.parts for v in part)
-
-    def fault_mask(self, G: BitGraph) -> int:
-        return neighborhood_mask(G, self.union_mask())
-
-    def fault(self, G: BitGraph) -> tuple[int, ...]:
-        return ids_of(self.fault_mask(G))
-
-    def is_valid(self, G: BitGraph) -> bool:
-        union = 0
-        for part in self.parts:
-            pm = mask_of(part)
-            if pm == 0 or pm & union:
-                return False
-            if not is_connected_after(G.adj_masks, pm):
-                return False
-            union |= pm
-        for a in range(len(self.parts)):
-            ma = mask_of(self.parts[a])
-            na = neighborhood_mask(G, ma)
-            for b in range(a + 1, len(self.parts)):
-                if na & mask_of(self.parts[b]):
-                    return False
-        leftover = G.full_mask & ~union & ~neighborhood_mask(G, union)
-        return leftover != 0
 
 
 @dataclass(frozen=True)
@@ -568,67 +528,6 @@ def remark_independent_set(G: CayleyGraph, size: int, i: int, j: int) -> tuple[i
     return tuple(G.vertex_id(p) for p in members)
 
 
-def _ag_four_cycle_cut(G: CayleyGraph) -> tuple[int, ...]:
-    """N({w, y}) for the lex-first 4-cycle (w, x, y, z) through the identity."""
-    e = 0
-    near = {e, *G.neighbors[e]}
-    for a, b in itertools.combinations(G.neighbors[e], 2):
-        commons = set(G.neighbors[a]).intersection(G.neighbors[b]) - near
-        if commons:
-            return ids_of(neighborhood_mask(G, (1 << e) | (1 << min(commons))))
-    raise ValueError("no 4-cycle through the identity")
-
-
-def _ball(G: BitGraph, v: int, radius: int) -> int:
-    m = 1 << v
-    for _ in range(radius):
-        m |= neighborhood_mask(G, m)
-    return m
-
-
-def _splitstar_tight_set(G: CayleyGraph, size: int, target: int) -> tuple[int, ...]:
-    """Bounded search for an independent set S (containing e) with |N(S)| = target.
-
-    Candidates grow through distance-2 closures of the chosen vertices, with
-    candidate order preferring shared neighbors, so the tight double-rotation
-    patterns are found immediately. Search is deterministic.
-    """
-    adj = G.adj_masks
-    ball2: dict[int, int] = {}
-
-    def ball2_of(v: int) -> int:
-        if v not in ball2:
-            ball2[v] = _ball(G, v, 2)
-        return ball2[v]
-
-    required = size * G.degree(0) - target  # total overlap the set must achieve
-
-    stack = [((0,), adj[0], 0)]  # depth-first, best candidates first
-    while stack:
-        chosen, union_nb, pair_overlap = stack.pop()
-        m = len(chosen)
-        if m == size:
-            if (union_nb & ~mask_of(chosen)).bit_count() == target:
-                return tuple(sorted(chosen))
-            continue
-        pool = 0
-        for x in chosen:
-            pool |= ball2_of(x)
-        pool &= ~mask_of(chosen) & ~union_nb  # independence: not adjacent to chosen
-        rest = size - m - 1
-        max_future = 2 * (rest * (m + 1) + rest * (rest - 1) // 2)
-        cands = []
-        for v in ids_of(pool):
-            gain = sum((adj[v] & adj[x]).bit_count() for x in chosen)
-            if pair_overlap + gain + max_future >= required:
-                cands.append((-gain, v))
-        stack += [
-            (chosen + (v,), union_nb | adj[v], pair_overlap - neg_gain)
-            for neg_gain, v in sorted(cands, reverse=True)
-        ]
-    raise ValueError(f"no independent {size}-set with |N(S)| = {target} found")
-
-
 # the paper's kappa_l = a*n - b, as (a, b) per (family, l)
 KAPPA_FORMULAS = {
     (FAMILY_AG, 3): (4, 10),
@@ -637,6 +536,16 @@ KAPPA_FORMULAS = {
     (FAMILY_SPLIT_STAR, 3): (4, 8),
     (FAMILY_SPLIT_STAR, 4): (6, 14),
     (FAMILY_SPLIT_STAR, 5): (8, 20),
+}
+
+
+# S for the paper cut N(S) of l = 3, 4, 5: the first l-1 members of a Klein
+# four-group on positions 1..4 (positions 5..n fixed). AG_n: the double
+# transpositions; 1234, 3412, 4321, 2143 is the Remark 4-set at i, j = 3, 4.
+# S_n^2: the group generated by (2 3) and (1 4).
+PAPER_SETS = {
+    FAMILY_AG: ((1, 2, 3, 4), (3, 4, 1, 2), (4, 3, 2, 1), (2, 1, 4, 3)),
+    FAMILY_SPLIT_STAR: ((1, 2, 3, 4), (1, 3, 2, 4), (4, 2, 3, 1), (4, 3, 2, 1)),
 }
 
 
@@ -653,29 +562,22 @@ def kappa_formula_text(family: str, ell: int) -> str:
 def construct_paper_cut(G: CayleyGraph, ell: int) -> CutWitness:
     """The explicit cut achieving the kappa_l formula for the family.
 
-    AG_n: l=3 removes N({w, y}) for opposite corners of a 4-cycle through e;
-    l=4 and l=5 remove the neighborhood of the double-rotation independent
-    sets (with i, j = 3, 4). S_n^2: removes N(S) for an independent set of
-    size l-1 found by bounded search at the tight formula value.
+    Removes N(S) for S the first l-1 members of the family's
+    :data:`PAPER_SETS` group, extended by the identity on 5..n. On AG_n the
+    first two are opposite corners of a 4-cycle through e and the first three
+    and four are the double-rotation sets of the Remark (i, j = 3, 4); on
+    S_n^2 they are the split-star analogues. Each member is left as a
+    singleton component.
     """
     if ell not in (3, 4, 5):
         raise ValueError("paper cuts exist for ell in {3, 4, 5}")
     n = G.n
-    if G.family == FAMILY_AG:
-        if ell in (3, 4) and n < 4 or ell == 5 and n < 5:
-            raise ValueError(f"AG paper cut for ell={ell} needs larger n, got {n}")
-        if ell == 3:
-            fault = _ag_four_cycle_cut(G)
-        else:
-            fault = ids_of(
-                neighborhood_mask(G, mask_of(remark_independent_set(G, ell - 1, 3, 4)))
-            )
-    else:
-        if n < 4:
-            raise ValueError(f"split-star paper cut needs n >= 4, got {n}")
-        target = kappa_formula(G.family, ell, n)
-        S = _splitstar_tight_set(G, ell - 1, target)
-        fault = ids_of(neighborhood_mask(G, mask_of(S)))
+    n_min = 5 if G.family == FAMILY_AG and ell == 5 else 4
+    if n < n_min:
+        raise ValueError(f"{G.family} paper cut for ell={ell} needs n >= {n_min}, got {n}")
+    rest = tuple(range(5, n + 1))
+    S = [G.vertex_id(Perm(p + rest)) for p in PAPER_SETS[G.family][: ell - 1]]
+    fault = tuple(sorted(neighborhood(G, S)))
     expected = kappa_formula(G.family, ell, n)
     if len(fault) != expected:
         raise AssertionError(

@@ -306,6 +306,15 @@ class TestTable:
         code, _ = run_cli(capsys, "table", "--families", "zz")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--ells", "3,3"), ("--ells", "4,3,4"),
+                                             ("--families", "ag,s2,ag")])
+    def test_repeated_entry_usage_error(self, capsys, flag, value):
+        code = main(["table", "--n-max", "4", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"kappalab: {flag} repeats an entry\n"
+
     def test_full_table_matches_reference(self, tmp_path):
         path = tmp_path / "table.csv"
         code = main(["table", "--n-max", "8", "--budget", "5000", "--output", str(path)])
@@ -386,3 +395,17 @@ class TestConfigResolution:
                             "--ell", "3", "--jobs", "0")
         assert code == 0
         assert json.loads(out)["jobs"] == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "ag", "--n", "4", "--jobs", "-2"),
+        ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--witness", "--jobs", "-4"),
+        ("verify", "--lemma", "basic", "--family", "ag", "--n", "4", "--jobs", "-7"),
+        ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--jobs", "-1"),
+        ("table", "--n-max", "4", "--jobs", "-1"),
+    ], ids=["gen", "kappa-witness", "verify", "kappa-exhaustive", "table"])
+    def test_negative_jobs_is_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"kappalab: jobs must be >= 0 (0 = auto), got {argv[-1]}\n"

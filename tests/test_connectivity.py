@@ -294,6 +294,11 @@ class TestCommonNeighbors:
         with pytest.raises(ValueError):
             common_neighbors(ag4, 3, 3)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -12), (0, 12), (12, 3)])
+    def test_rejects_out_of_range_ids(self, ag4, u, v):
+        with pytest.raises(ValueError, match="out-of-range"):
+            common_neighbors(ag4, u, v)
+
 
 class TestIsIndependent:
     def test_known_independent_set(self, ag4):

@@ -16,19 +16,19 @@ from kappalab.connectivity import (
     is_independent,
     mask_of,
     neighborhood,
-    neighborhood_mask,
     vertex_connectivity,
 )
-from kappalab.graphs import (BitGraph, build_ag, build_splitstar, left_translations, to_dimacs,
-                             to_json_dict)
+from kappalab.graphs import (FAMILY_AG, FAMILY_SPLIT_STAR, MAX_N_AG, MAX_N_SPLIT_STAR, BitGraph,
+                             build_ag, build_family, build_splitstar, left_translations,
+                             to_dimacs, to_json_dict)
 from kappalab.kappa import (
     DEFAULT_BUDGET,
+    PAPER_SETS,
     SCAN_BATCH,
     BudgetExceeded,
     CutRefusal,
     CutWitness,
     Tier,
-    WitnessFamily,
     comb_lex_rank,
     comb_lex_unrank,
     construct_paper_cut,
@@ -60,6 +60,18 @@ from .oracles import (
 
 def vids(G, *texts):
     return [G.vertex_id(Perm.from_text(t)) for t in texts]
+
+
+def paper_set(G, size):
+    """The first ``size`` members of the family's PAPER_SETS group, as vertex ids."""
+    rest = tuple(range(5, G.n + 1))
+    return [G.vertex_id(Perm(p + rest)) for p in PAPER_SETS[G.family][:size]]
+
+
+# every (family, n) of the paper table
+PAPER_ROWS = [(FAMILY_AG, n) for n in range(4, MAX_N_AG + 1)] + [
+    (FAMILY_SPLIT_STAR, n) for n in range(4, MAX_N_SPLIT_STAR + 1)
+]
 
 
 def complete_graph(n):
@@ -254,61 +266,6 @@ class TestWitnessSearch:
             assert bound.value >= exact.value
 
 
-class TestWitnessFamilySoundness:
-    def _random_family(self, rng, G, ell, B):
-        # grow ell-1 random connected parts, then validate
-        order = list(range(G.vertex_count))
-        rng.shuffle(order)
-        parts = []
-        used = 0
-        blocked = 0
-        for anchor in order:
-            if len(parts) == ell - 1:
-                break
-            if blocked >> anchor & 1:
-                continue
-            part = 1 << anchor
-            for _ in range(rng.randint(0, B - 1)):
-                from kappalab.connectivity import neighborhood_mask
-
-                cands = neighborhood_mask(G, part) & ~blocked
-                if not cands:
-                    break
-                choices = []
-                m = cands
-                while m:
-                    low = m & -m
-                    choices.append(low.bit_length() - 1)
-                    m ^= low
-                part |= 1 << rng.choice(choices)
-            from kappalab.connectivity import ids_of, neighborhood_mask
-
-            parts.append(tuple(ids_of(part)))
-            used |= part
-            blocked = used | neighborhood_mask(G, used)
-        if len(parts) < ell - 1:
-            return None
-        return WitnessFamily(tuple(parts))
-
-    def test_valid_families_certify(self, ag4, s4):
-        # 1000 random valid families per graph, mixed part counts and sizes
-        for G, seed in ((ag4, 11), (s4, 13)):
-            rng = random.Random(seed)
-            checked = 0
-            attempts = 0
-            while checked < 1000 and attempts < 40000:
-                attempts += 1
-                ell = rng.choice((3, 4))
-                B = rng.choice((1, 2, 3))
-                fam = self._random_family(rng, G, ell, B)
-                if fam is None or not fam.is_valid(G):
-                    continue
-                checked += 1
-                report = components(G, fam.fault(G))
-                assert report.count >= ell
-            assert checked == 1000
-
-
 class TestConnectedPartsEnumeration:
     def brute_connected_sets(self, G, anchor, max_size, banned_mask):
         out = set()
@@ -377,20 +334,38 @@ class TestPaperCuts:
         assert "components" in vars(w.report)
 
     def test_only_a_scan_builds_the_adjacency_masks(self):
-        G = build_ag(7)
-        to_json_dict(G)
-        to_dimacs(G)
-        for ell in (3, 4, 5):
+        for G in (build_ag(7), build_splitstar(7)):
+            to_json_dict(G)
+            to_dimacs(G)
+            for ell in (3, 4, 5):
+                w = construct_paper_cut(G, ell)
+                assert verify_cut(G, w.fault, ell) == w
+            S = paper_set(G, 3)
+            assert common_neighbors(G, S[0], S[1]) and is_independent(G, S)
+            assert "adj_masks" not in vars(G)
+            kappa_ell_exhaustive(G, 2, k_max=1)
+            masks = vars(G)["adj_masks"]
+            assert G.adj_masks is masks
+            assert masks == tuple(map(mask_of, G.neighbors))
+
+    @pytest.mark.parametrize("family, n", PAPER_ROWS)
+    def test_paper_set_prefixes_are_independent(self, family, n):
+        G = build_family(family, n)
+        assert is_independent(G, paper_set(G, 4))  # so is every prefix
+
+    @pytest.mark.parametrize("family, n", PAPER_ROWS)
+    def test_paper_set_members_are_singleton_components(self, family, n):
+        G = build_family(family, n)
+        for ell in (3, 4, 5) if family == FAMILY_SPLIT_STAR or n >= 5 else (3, 4):
+            S = paper_set(G, ell - 1)
             w = construct_paper_cut(G, ell)
-            assert verify_cut(G, w.fault, ell) == w
-        S = remark_independent_set(G, 3, 3, 4)
-        assert neighborhood_mask(G, mask_of(S)) == mask_of(neighborhood(G, S))
-        assert common_neighbors(G, S[0], S[1]) and is_independent(G, S)
-        assert "adj_masks" not in vars(G)
-        kappa_ell_exhaustive(G, 2, k_max=1)
-        masks = vars(G)["adj_masks"]
-        assert G.adj_masks is masks
-        assert masks == tuple(map(mask_of, G.neighbors))
+            assert w.fault == tuple(sorted(neighborhood(G, S)))
+            assert {1 << v for v in S} <= {m for m in w.report.masks if m.bit_count() == 1}
+
+    @pytest.mark.parametrize("n", range(4, MAX_N_AG + 1))
+    def test_ag_paper_set_is_the_remark_four_set(self, n):
+        G = build_ag(n)
+        assert set(paper_set(G, 4)) == set(remark_independent_set(G, 4, 3, 4))
 
     def test_out_of_range_rejected(self, ag4):
         with pytest.raises(ValueError):
