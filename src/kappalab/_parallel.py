@@ -8,6 +8,8 @@ is bit-identical for any ``jobs`` value, including 1.
 
 from __future__ import annotations
 
+import os
+
 _STATE = None
 
 
@@ -21,7 +23,7 @@ def worker_state():
 
 
 class TaskRunner:
-    """Runs task functions either inline (jobs=1) or on a process pool.
+    """Runs task functions inline or on a pool of ``jobs`` workers, at most one per core.
 
     Task functions must be module-level (picklable) and read shared immutable
     inputs from :func:`worker_state`.
@@ -30,7 +32,7 @@ class TaskRunner:
     def __init__(self, jobs: int, state):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
+        self.jobs = jobs = min(jobs, os.cpu_count() or 1)
         self._pool = None
         _init_worker(state)
         if jobs > 1:

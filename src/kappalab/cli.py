@@ -109,6 +109,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    if args.witness and args.k_max is not None:
+        raise ValueError("--k-max applies to the exhaustive tier only, not to --witness")
     G = build_family(args.family, args.n)
     if args.witness:
         result = kappa_ell_witness_search(G, args.ell, args.B, budget=args.budget)
@@ -229,11 +231,15 @@ def cmd_table(args) -> int:
     for name, entries in (("families", families), ("ells", ells)):
         if len(set(entries)) < len(entries):
             raise ValueError(f"--{name} repeats an entry")
+    rows = list(_table_rows(families, args.n_max, ells))
+    if not rows:
+        raise ValueError(f"no table rows for --families {args.families!r} "
+                         f"--ells {args.ells!r} --n-max {args.n_max}")
     graphs = {}
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for family, ell, n in _table_rows(families, args.n_max, ells):
+    for family, ell, n in rows:
         if (family, n) not in graphs:
             graphs[(family, n)] = build_family(family, n)
         writer.writerow(

@@ -133,6 +133,9 @@ class Shape(Enum):
     OTHER = "other"
 
 
+_SHAPE_RANK = {shape: rank for rank, shape in enumerate(Shape)}
+
+
 def _classify_mask(neighbors: tuple[tuple[int, ...], ...], comp: int) -> Shape:
     size = comp.bit_count()
     if size == 1:
@@ -159,7 +162,7 @@ def _vertex_ids(G: BitGraph, S) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Components of G - F as masks, largest first (ties by lowest vertex id)."""
+    """Components of G - F as masks, in the order of :func:`component_report`."""
 
     fault: tuple[int, ...]
     masks: tuple[int, ...]
@@ -194,10 +197,17 @@ class ComponentReport:
 
 def component_report(neighbors: tuple[tuple[int, ...], ...], fault: tuple[int, ...],
                      masks) -> ComponentReport:
-    """The report of G - ``fault`` from all of its component masks."""
-    masks = tuple(sorted(masks, key=lambda m: (-m.bit_count(), m & -m)))
-    shapes = tuple(_classify_mask(neighbors, m) for m in masks)
-    return ComponentReport(fault, masks, shapes)
+    """The report of G - ``fault`` from all of its component masks.
+
+    Components go largest first, then in :class:`Shape` order, then by lowest
+    id. Automorphisms keep sizes and shapes, so the shapes in this order are
+    the same on every translate of a fault.
+    """
+    ranked = sorted(
+        ((m, _classify_mask(neighbors, m)) for m in masks),
+        key=lambda ms: (-ms[0].bit_count(), _SHAPE_RANK[ms[1]], ms[0] & -ms[0]),
+    )
+    return ComponentReport(fault, tuple(m for m, _ in ranked), tuple(s for _, s in ranked))
 
 
 def components(G: BitGraph, F) -> ComponentReport:

@@ -22,7 +22,6 @@ from .connectivity import (
     ComponentReport,
     Shape,
     common_neighbors,
-    component_masks,
     component_report,
     components,
     ids_of,
@@ -577,42 +576,21 @@ def _census(batches, fsize):
     """Examine every disconnecting fault of the lane ``batches`` against the rule.
 
     Returns the fault size, the violating faults, the outcome tally and the
-    exceptional faults. With ``translations`` in the state the faults hold
-    vertex 0 and each stands for its V translates: the tally counts
-    translates (see :func:`~kappalab.kappa.orbit_total`) and the fault lists
-    hold every translate. Registered rules read only translation-invariant
-    facts of the components in report order; that order breaks ties between
-    equal sizes by vertex id, so a fault with such a tie has each translate
-    examined on its own.
+    exceptional faults, each hit counted once as scanned.
     """
     state = worker_state()
     G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
-    translations = state["translations"]
     violations: list[tuple[int, ...]] = []
     outcomes: dict[str, int] = {}
     exc_faults: list[tuple[int, ...]] = []
-
-    def tally(report, weight, orbit):
-        sig = _signature(report)
-        outcomes[sig] = outcomes.get(sig, 0) + weight
-        if not rule(G, report, fsize):
-            found = violations
-        elif exceptional is not None and exceptional(report):
-            found = exc_faults
-        else:
-            return
-        found.extend(translations.translates(report.fault) if orbit else [report.fault])
-
     for fm, comps in scan_hits(G, batches, 2, 0):
         report = component_report(G.neighbors, ids_of(fm), comps)
-        if translations is None:
-            tally(report, 1, False)
-        elif len(set(report.sizes())) == report.count:
-            tally(report, G.vertex_count, True)
-        else:
-            for f in translations.translates(report.fault):
-                masks = component_masks(G.adj_masks, G.full_mask ^ mask_of(f))
-                tally(component_report(G.neighbors, f, masks), 1, False)
+        sig = _signature(report)
+        outcomes[sig] = outcomes.get(sig, 0) + 1
+        if not rule(G, report, fsize):
+            violations.append(report.fault)
+        elif exceptional is not None and exceptional(report):
+            exc_faults.append(report.fault)
     return fsize, violations, outcomes, exc_faults
 
 
@@ -660,10 +638,11 @@ def verify_cut_structure(
     ``(graph, report, fault_size) -> bool``.
 
     An exhaustive census of a registered rule on AG_n or S_n^2 tests only the
-    faults through vertex 0 (see ``_census``); ``instances_checked`` still
-    counts every fault covered, and the fault lists come out sorted by
-    (size, ids), the order of the full scan. Custom predicates, edited graphs
-    and sampled runs examine every fault they cover.
+    faults through vertex 0 (every outcome is the same on all translates of a
+    fault); its tallies are scaled by :func:`~kappalab.kappa.orbit_total` and
+    its fault lists expanded to orbits, sorted by (size, ids) as the full scan
+    lists them. ``instances_checked`` still counts every fault covered. Custom
+    predicates, edited graphs and sampled runs examine every fault they cover.
     """
     exceptional = None
     if isinstance(allowed, str):
@@ -680,10 +659,9 @@ def verify_cut_structure(
         raise ValueError(f"fault size bound must be between 0 and {V}, got {size_bound}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    state = {
-        "graph": G, "rule": rule_fn, "exceptional": exceptional,
-        "translations": None, "size": size_bound, "seed": seed,
-    }
+    state = {"graph": G, "rule": rule_fn, "exceptional": exceptional, "size": size_bound,
+             "seed": seed}
+    translations = None
 
     def merge(results, checked, evaluated, mode_name, report_trials=None):
         violations = [f for r in results for f in r[1]]
@@ -694,12 +672,12 @@ def verify_cut_structure(
                 weighted[k, sig] = weighted.get((k, sig), 0) + c
         outcomes: dict[str, int] = {}
         for (k, sig), c in weighted.items():
-            if state["translations"] is not None and k:
-                c = orbit_total(c, k)
+            if translations is not None and k:
+                c = orbit_total(V * c, k)
             outcomes[sig] = outcomes.get(sig, 0) + c
-        if state["translations"] is not None:
-            violations = sorted(set(violations), key=lambda f: (len(f), f))
-            exc = sorted(set(exc), key=lambda f: (len(f), f))
+        if translations is not None:
+            violations = translations.orbits(violations)
+            exc = translations.orbits(exc)
         return VerificationReport(
             lemma_id, G.family, G.n, mode_name, checked,
             tuple(_violation_payload(G, components(G, f)) for f in violations),
@@ -716,8 +694,8 @@ def verify_cut_structure(
                 f"exhaustive census of {total} subsets exceeds budget {budget}"
             )
         if isinstance(allowed, CutStructureRule) and CUT_RULES.get(allowed.key) is allowed:
-            state["translations"] = left_translations(G)
-        pinned = state["translations"] is not None
+            translations = left_translations(G)
+        pinned = translations is not None
         tasks = [t for k in range(size_bound + 1) for t in scan_tasks(V, k, pinned)]
         with TaskRunner(jobs, state) as runner:
             results = runner.map(_census_worker, tasks)

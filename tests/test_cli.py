@@ -116,6 +116,16 @@ class TestKappa:
         assert captured.err.startswith("kappalab: ")
         assert "Traceback" not in captured.err
 
+    def test_k_max_with_witness_is_usage_error(self, capsys):
+        code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "3", "--witness",
+                     "--k-max", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kappalab: --k-max applies to the exhaustive tier only, not to --witness\n"
+        )
+
     def test_rerun_is_byte_identical(self, capsys):
         args = ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--jobs", "2")
         _, out1 = run_cli(capsys, *args)
@@ -314,6 +324,19 @@ class TestTable:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"kappalab: {flag} repeats an entry\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--n-max", "3"),
+        ("--families", ","),
+        ("--families", "ag", "--ells", "5", "--n-max", "4"),
+    ], ids=["below-every-family", "no-family", "ag-ell5-below-n5"])
+    def test_empty_selection_usage_error(self, capsys, argv):
+        code = main(["table", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("kappalab: no table rows for ")
+        assert captured.err.count("\n") == 1
 
     def test_full_table_matches_reference(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -65,6 +65,19 @@ class TestComponents:
         assert sizes == tuple(sorted(sizes, reverse=True))
         assert report.components[0][0] < report.components[1][0]
 
+    def test_equal_sizes_are_ordered_by_shape_then_min_id(self):
+        # sizes 4, 4, 3, 3, 1, 1, with each shape class on higher ids than
+        # the other shape of its size: a 3-cycle 0-2, a 2-path 3-5, a star
+        # ("other") 6-9, a 4-cycle 10-13, and the singletons 14 and 15
+        G = BitGraph.from_edges(16, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (6, 8),
+                                     (6, 9), (10, 11), (11, 12), (12, 13), (10, 13)])
+        report = components(G, ())
+        assert report.shapes == (Shape.FOUR_CYCLE, Shape.OTHER, Shape.TWO_PATH,
+                                 Shape.THREE_CYCLE, Shape.SINGLETON, Shape.SINGLETON)
+        assert [c[0] for c in report.components] == [10, 6, 3, 0, 14, 15]
+        masks = component_masks(G.adj_masks, G.full_mask)
+        assert component_report(G.neighbors, (), masks[::-1]) == report
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_on_random_faults(self, ag4, data):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from kappalab import _parallel
 from kappalab.connectivity import (
     common_neighbors,
     component_masks,
@@ -164,6 +165,12 @@ class TestExhaustive:
         res2 = kappa_ell_exhaustive(ag4, 3, jobs=2)
         res3 = kappa_ell_exhaustive(ag4, 3, jobs=5)
         assert res1 == res2 == res3
+
+    def test_pool_is_capped_at_the_core_count(self, monkeypatch):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        with _parallel.TaskRunner(50, None) as runner:
+            assert runner.jobs == runner._pool._processes == 2
+            assert runner.map(abs, [-3, 4, -5]) == [3, 4, 5]
 
     def test_rejects_ell_below_two(self, ag4):
         with pytest.raises(ValueError):

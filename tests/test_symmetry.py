@@ -8,12 +8,12 @@ fault set is tested, and require equal results.
 
 import dataclasses
 import math
-from collections import Counter
+import random
 
 import pytest
 
-from kappalab import _parallel, kappa, lemmas
-from kappalab.connectivity import components, mask_of
+from kappalab import kappa, lemmas
+from kappalab.connectivity import components
 from kappalab.graphs import BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations
 from kappalab.kappa import hyper_connectivity_scan, kappa_ell_exhaustive, scan_tasks
 from kappalab.lemmas import CUT_RULES, verify_cut_structure
@@ -174,25 +174,35 @@ class TestCensus:
         r = verify_cut_structure(drop_edge(ag4, 0, ag4.neighbors[0][0]), 4, "ag-4n-11")
         assert r.evaluated == r.instances_checked
 
-    def test_size_ties_are_examined_per_translate(self, s4):
+    def test_size_tie_orbit_has_one_outcome(self, s4):
         # On S_4^2 this 13-fault leaves a 4-cycle and an "other" component of
-        # the same size; report order breaks that tie by vertex id, so the
-        # outcome signature is not the same on every translate. Over one
-        # orbit, the tallies of its members through vertex 0 must sum to
-        # k times the tally of the whole orbit.
+        # the same size; report order puts the 4-cycle first on every translate.
         fault = (1, 3, 4, 6, 10, 11, 12, 14, 15, 16, 17, 19, 22)
-        tr = left_translations(s4)
-        orbit = sorted(set(tr.translates(fault)))
-        signatures = {lemmas._signature(components(s4, f)) for f in orbit}
-        assert len(signatures) > 1
-        state = {"graph": s4, "rule": CUT_RULES["s2-4n-8"].allowed, "exceptional": None}
-        try:
-            _parallel._init_worker({**state, "translations": tr})
-            through_zero = kappa.mask_batches(24, (mask_of(f) for f in orbit if 0 in f))
-            _, _, weighted, _ = lemmas._census(through_zero, len(fault))
-            _parallel._init_worker({**state, "translations": None})
-            every = kappa.mask_batches(24, (mask_of(f) for f in orbit))
-            _, _, plain, _ = lemmas._census(every, len(fault))
-        finally:
-            _parallel._init_worker(None)
-        assert Counter(weighted) == Counter({s: len(fault) * c for s, c in plain.items()})
+        reports = [components(s4, f) for f in left_translations(s4).translates(fault)]
+        outcomes = set(_outcomes(s4, CUT_RULES["s2-4n-8"], reports))
+        assert outcomes == {("4-cycle,other,edge,singleton", False, True)}
+
+    def test_size_ties_have_one_outcome_per_orbit(self, s4, ag4):
+        rng = random.Random(2018)
+        for G, sizes, draws in ((s4, range(10, 21), 150), (ag4, range(3, 10), 100)):
+            tr = left_translations(G)
+            rules = [rule for rule in CUT_RULES.values() if rule.family == G.family]
+            tied = 0
+            for k in sizes:
+                for _ in range(draws):
+                    fault = tuple(sorted(rng.sample(range(G.vertex_count), k)))
+                    sizes_left = components(G, fault).sizes()
+                    if len(set(sizes_left)) == len(sizes_left):
+                        continue
+                    tied += 1
+                    reports = [components(G, f) for f in tr.translates(fault)]
+                    for rule in rules:
+                        assert len(set(_outcomes(G, rule, reports))) == 1, (fault, rule.key)
+            assert tied >= 50
+
+
+def _outcomes(G, rule, reports):
+    """The (signature, verdict, exceptional flag) of each report under ``rule``."""
+    for report in reports:
+        yield (lemmas._signature(report), rule.allowed(G, report, len(report.fault)),
+               rule.exceptional is not None and rule.exceptional(report))
