@@ -257,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_family=True):
+    def add_common(p, with_family=True, scans=True):
         if with_family:
             p.add_argument("--family", choices=[FAMILY_AG, FAMILY_SPLIT_STAR], required=True)
             p.add_argument("--n", type=int, required=True)
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker count; 0 = auto")
-        p.add_argument("--budget", type=int, default=None,
-                       help="explored-subset budget")
-        p.add_argument("--seed", type=int, default=0)
+        if scans:
+            p.add_argument("--jobs", type=int, default=1, help="worker count; 0 = auto")
+            p.add_argument("--budget", type=int, default=None,
+                           help="explored-subset budget")
 
     p_gen = sub.add_parser("gen", help="build and export a graph")
-    add_common(p_gen)
+    add_common(p_gen, scans=False)
     p_gen.add_argument("--format", choices=["dimacs", "json"], default="json")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     tier = p_kappa.add_mutually_exclusive_group()
     tier.add_argument("--exhaustive", action="store_true", default=True)
     tier.add_argument("--witness", action="store_true", default=False)
-    p_kappa.add_argument("--B", type=int, default=1, help="witness part size bound")
+    p_kappa.add_argument("--B", type=int, default=1, help="witness part size bound; the "
+                         "search is exhaustive over families, its cost steep in B")
     p_kappa.add_argument("--k-max", type=int, default=None)
     p_kappa.set_defaults(func=cmd_kappa)
 
@@ -295,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rule", choices=sorted(CUT_RULES), default=None)
     p_verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p_verify.add_argument("--trials", type=int, default=1_000_000)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="reproduce the kappa_ell table as CSV")
@@ -311,11 +313,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.budget is None:
-            args.budget = _default_budget()
-        if args.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {args.budget}")
-        args.jobs = _resolve_jobs(args.jobs)
+        if hasattr(args, "budget"):  # gen takes neither --budget nor --jobs
+            if args.budget is None:
+                args.budget = _default_budget()
+            if args.budget < 0:
+                raise ValueError(f"budget must be >= 0, got {args.budget}")
+            args.jobs = _resolve_jobs(args.jobs)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"kappalab: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ to 20,160 vertices, walks the neighbour lists with a set frontier instead; it,
 Vertex sets cross the API boundary as plain iterables of ids and come back as
 sorted tuples or frozensets; inside they are bitmasks, built by ``mask_of`` and
 listed by ``ids_of`` (both from :mod:`kappalab.graphs`). A :class:`ComponentReport`
-keeps its component masks and lists their ids only when ``components`` is read.
+keeps its fault and component masks and lists their ids only when ``fault`` or
+``components`` is read.
 Every bit walk here peels 64-bit words, so its Python steps are linear in the
 mask length.
 """
@@ -164,9 +165,14 @@ def _vertex_ids(G: BitGraph, S) -> tuple[int, ...]:
 class ComponentReport:
     """Components of G - F as masks, in the order of :func:`component_report`."""
 
-    fault: tuple[int, ...]
+    fault_mask: int
     masks: tuple[int, ...]
     shapes: tuple[Shape, ...]
+
+    @cached_property
+    def fault(self) -> tuple[int, ...]:
+        """The fault's vertex ids, listed on first read."""
+        return ids_of(self.fault_mask)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -195,9 +201,9 @@ class ComponentReport:
         }
 
 
-def component_report(neighbors: tuple[tuple[int, ...], ...], fault: tuple[int, ...],
+def component_report(neighbors: tuple[tuple[int, ...], ...], fault_mask: int,
                      masks) -> ComponentReport:
-    """The report of G - ``fault`` from all of its component masks.
+    """The report of G - F from F's mask and all of G - F's component masks.
 
     Components go largest first, then in :class:`Shape` order, then by lowest
     id. Automorphisms keep sizes and shapes, so the shapes in this order are
@@ -207,7 +213,7 @@ def component_report(neighbors: tuple[tuple[int, ...], ...], fault: tuple[int, .
         ((m, _classify_mask(neighbors, m)) for m in masks),
         key=lambda ms: (-ms[0].bit_count(), _SHAPE_RANK[ms[1]], ms[0] & -ms[0]),
     )
-    return ComponentReport(fault, tuple(m for m, _ in ranked), tuple(s for _, s in ranked))
+    return ComponentReport(fault_mask, tuple(m for m, _ in ranked), tuple(s for _, s in ranked))
 
 
 def components(G: BitGraph, F) -> ComponentReport:
@@ -230,7 +236,7 @@ def components(G: BitGraph, F) -> ComponentReport:
             for v in comp:
                 digits[~v] = 49  # the "1" of bit v
             masks.append(int(digits, 2))
-    return component_report(neighbors, fault, masks)
+    return component_report(neighbors, mask_of(fault), masks)
 
 
 def neighborhood(G: BitGraph, S: Iterable[int]) -> frozenset[int]:

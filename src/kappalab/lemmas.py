@@ -576,7 +576,8 @@ def _census(batches, fsize):
     """Examine every disconnecting fault of the lane ``batches`` against the rule.
 
     Returns the fault size, the violating faults, the outcome tally and the
-    exceptional faults, each hit counted once as scanned.
+    exceptional faults, each hit counted once as scanned; only the faults kept
+    (or read by the rule) are listed as ids.
     """
     state = worker_state()
     G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
@@ -584,7 +585,7 @@ def _census(batches, fsize):
     outcomes: dict[str, int] = {}
     exc_faults: list[tuple[int, ...]] = []
     for fm, comps in scan_hits(G, batches, 2, 0):
-        report = component_report(G.neighbors, ids_of(fm), comps)
+        report = component_report(G.neighbors, fm, comps)
         sig = _signature(report)
         outcomes[sig] = outcomes.get(sig, 0) + 1
         if not rule(G, report, fsize):

@@ -242,7 +242,9 @@ def test_criterion_10_determinism(tmp_path):
             outputs = []
             for rerun in (0, 1):
                 path = tmp_path / f"c{idx}-j{jobs}-r{rerun}.out"
-                code = cli_main(command + ["--jobs", str(jobs), "--output", str(path)])
+                # gen has no --jobs: its runs are reruns at every jobs value
+                jobs_argv = [] if command[0] == "gen" else ["--jobs", str(jobs)]
+                code = cli_main(command + jobs_argv + ["--output", str(path)])
                 if code != 0:
                     problems.append((command[0], jobs, "exit", code))
                 outputs.append(path.read_bytes())

@@ -420,15 +420,37 @@ class TestConfigResolution:
         assert json.loads(out)["jobs"] == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("argv", [
-        ("gen", "--family", "ag", "--n", "4", "--jobs", "-2"),
         ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--witness", "--jobs", "-4"),
         ("verify", "--lemma", "basic", "--family", "ag", "--n", "4", "--jobs", "-7"),
         ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--jobs", "-1"),
         ("table", "--n-max", "4", "--jobs", "-1"),
-    ], ids=["gen", "kappa-witness", "verify", "kappa-exhaustive", "table"])
+    ], ids=["kappa-witness", "verify", "kappa-exhaustive", "table"])
     def test_negative_jobs_is_usage_error(self, capsys, argv):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"kappalab: jobs must be >= 0 (0 = auto), got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "ag", "--n", "4", "--jobs", "3"),
+        ("gen", "--family", "ag", "--n", "4", "--budget", "7"),
+        ("gen", "--family", "ag", "--n", "4", "--seed", "5"),
+        ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--seed", "5"),
+        ("table", "--n-max", "4", "--seed", "5"),
+    ], ids=["gen-jobs", "gen-budget", "gen-seed", "kappa-seed", "table-seed"])
+    def test_unread_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_gen_ignores_env_budget(self, capsys, monkeypatch):
+        _, want = run_cli(capsys, "gen", "--family", "ag", "--n", "4")
+        monkeypatch.setenv("KAPPALAB_BUDGET", "abc")
+        code, out = run_cli(capsys, "gen", "--family", "ag", "--n", "4")
+        assert code == 0
+        assert out == want

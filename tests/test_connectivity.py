@@ -76,7 +76,7 @@ class TestComponents:
                                  Shape.THREE_CYCLE, Shape.SINGLETON, Shape.SINGLETON)
         assert [c[0] for c in report.components] == [10, 6, 3, 0, 14, 15]
         masks = component_masks(G.adj_masks, G.full_mask)
-        assert component_report(G.neighbors, (), masks[::-1]) == report
+        assert component_report(G.neighbors, 0, masks[::-1]) == report
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -120,11 +120,12 @@ class TestNeighbourListWalk:
 
     def assert_walks_agree(self, G, seed):
         for F in self.faults(G, random.Random(seed)):
-            fault = tuple(sorted(set(F)))
-            alive = G.full_mask & ~mask_of(fault)
-            want = component_report(G.neighbors, fault, component_masks(G.adj_masks, alive))
+            fm = mask_of(F)
+            alive = G.full_mask ^ fm
+            want = component_report(G.neighbors, fm, component_masks(G.adj_masks, alive))
             got = components(G, F)
             assert got == want
+            assert got.fault == tuple(sorted(set(F)))
             assert got.components == want.components
 
     @pytest.mark.parametrize("build,n", [(build_ag, n) for n in range(3, 7)]

@@ -31,7 +31,6 @@ from kappalab.kappa import (
     CutWitness,
     Tier,
     comb_lex_rank,
-    comb_lex_unrank,
     construct_paper_cut,
     hyper_connectivity_scan,
     kappa_ell_exhaustive,
@@ -334,11 +333,16 @@ class TestPaperCuts:
             assert w.report.count >= ell
 
     def test_report_lists_component_ids_only_when_read(self):
-        w = construct_paper_cut(build_ag(7), 3)
+        G = build_ag(7)
+        w = construct_paper_cut(G, 3)
         assert "components" not in vars(w.report)
         assert w.report.sizes() == tuple(m.bit_count() for m in w.report.masks)
         assert w.report.components == tuple(map(ids_of, w.report.masks))
         assert "components" in vars(w.report)
+        report = components(G, w.fault)  # verify_cut has read w.report.fault
+        assert "fault" not in vars(report)
+        assert report.fault == ids_of(report.fault_mask) == w.fault
+        assert "fault" in vars(report)
 
     def test_only_a_scan_builds_the_adjacency_masks(self):
         for G in (build_ag(7), build_splitstar(7)):
@@ -480,33 +484,56 @@ class TestScanHits:
         hits = {fm for fm, _ in scan_hits(G, mask_batches(24, iter(faults)), 2, 2)}
         assert [fm in hits for fm in faults] == oracle_disconnected(G, faults)
 
+    @pytest.mark.parametrize("V", [65, 257, 300])
+    def test_mask_source_reads_back_the_oracle_faults(self, V):
+        # a ring with a few chords, so some faults disconnect and some do not;
+        # V crosses the 64-bit word and the TRANSPOSE_CHUNK window
+        rng = random.Random(V)
+        chords = [tuple(rng.sample(range(V), 2)) for _ in range(V // 8)]
+        G = BitGraph.from_edges(V, [(v, (v + 1) % V) for v in range(V)] + chords)
+        faults = [mask_of(rng.sample(range(V), rng.randint(0, 6))) for _ in range(150)]
+        faults += [G.full_mask, G.full_mask ^ 1 << (V - 1), 1 << (V - 1) | 1 << (V - 3)]
+        disconnected = oracle_disconnected(G, faults)
+        assert 0 < sum(disconnected) < len(faults)
+        hits = list(scan_hits(G, mask_batches(V, faults), 2, 0))
+        assert [fm for fm, _ in hits] == [fm for fm, d in zip(faults, disconnected) if d]
+        adj = adjacency_dict(G)
+        for fm, comps in hits:
+            want = oracle_components(adj, ids_of(fm))
+            assert set(frozenset(ids_of(c)) for c in comps) == set(want)
+
     @pytest.mark.parametrize("need, limit", [(2, 3), (3, 3), (4, 0)])
     def test_lex_source_matches_mask_source(self, s4, need, limit):
-        for task in scan_tasks(24, 7, True)[:3]:
-            faults = lex_fault_masks(24, *task)
-            assert list(scan_hits(s4, lex_batches(24, *task), need, limit)) == list(
-                scan_hits(s4, mask_batches(24, faults), need, limit)
-            )
+        # the pinned task (7, (0,), 1) has a dead prefix vertex below its start;
+        # (7, (1,), 2) keeps vertex 0 alive below its start and kills vertex 1
+        adj, full = s4.adj_masks, s4.full_mask
+        for task in scan_tasks(24, 7, True)[:3] + scan_tasks(24, 7, False)[1:2]:
+            faults = list(lex_fault_masks(24, *task))
+            want = [
+                (fm, component_masks(adj, full ^ fm, limit))
+                for fm in faults
+                if len(component_masks(adj, full ^ fm, need)) >= need
+            ]
+            got = list(scan_hits(s4, lex_batches(24, *task), need, limit))
+            assert got == want
+            assert got == list(scan_hits(s4, mask_batches(24, faults), need, limit))
 
     def test_rejects_need_below_two(self, ag4):
         with pytest.raises(ValueError):
             list(scan_hits(ag4, mask_batches(12, [0]), 1, 0))
 
 
-def assert_source_matches_oracle(V, task, batches=None, step=1):
+def assert_source_matches_oracle(V, task, batches=None):
     """The lane batches of a task (the first ``batches`` of them, or all) equal
     the oracle lex source transposed by the mask source (itself checked against
-    ``oracle_lanes`` below); the fault masks are read back from every
-    ``step``-th lane and the last."""
+    ``oracle_lanes`` below)."""
     limit = None if batches is None else batches * SCAN_BATCH
     masks = list(itertools.islice(lex_fault_masks(V, *task), limit))
     want = [masks[i : i + SCAN_BATCH] for i in range(0, len(masks), SCAN_BATCH)]
     got = list(itertools.islice(lex_batches(V, *task), batches))
     assert len(got) == len(want)
-    for (alive, fault_at), masks in zip(got, want):
-        assert alive == next(mask_batches(V, masks))[0]
-        lanes = sorted({*range(0, len(masks), step), len(masks) - 1})
-        assert [fault_at(j) for j in lanes] == [masks[j] for j in lanes]
+    for alive, masks in zip(got, want):
+        assert alive == next(mask_batches(V, masks))
 
 
 class TestLexBatches:
@@ -525,7 +552,7 @@ class TestLexBatches:
             whole = k <= 3 or k >= 21
             for pinned in (False, True):
                 for task in scan_tasks(24, k, pinned):
-                    assert_source_matches_oracle(24, task, None if whole else 1, step=53)
+                    assert_source_matches_oracle(24, task, None if whole else 1)
 
     @pytest.mark.parametrize(
         "V, task",
@@ -546,10 +573,9 @@ class TestLexBatches:
     def test_boundary_tasks_match_oracle(self, V, task):
         assert_source_matches_oracle(V, task, batches=3)
 
-    def test_unrank_inverts_rank(self):
+    def test_rank_is_lex_position(self):
         for n, k in ((8, 3), (10, 4), (6, 0), (6, 6), (1, 1), (40, 1)):
             for idx, comb in enumerate(itertools.combinations(range(n), k)):
-                assert comb_lex_unrank(idx, n, k) == comb
                 assert comb_lex_rank(comb, n) == idx
 
     def test_large_graph_scan_recurses_only_r_deep(self):
@@ -566,11 +592,9 @@ class TestMaskBatches:
         masks = [0, full] + [mask_of(rng.sample(range(V), rng.randint(0, V))) for _ in range(70)]
         masks *= 30  # 2160 faults: one whole batch and a part
         got = list(mask_batches(V, iter(masks)))
-        assert [len(alive) for alive, _ in got] == [V, V]
-        for (alive, fault_at), lo in zip(got, (0, SCAN_BATCH)):
-            batch = masks[lo : lo + SCAN_BATCH]
-            assert alive == oracle_lanes(batch, V)
-            assert [fault_at(j) for j in range(len(batch))] == batch
+        assert [len(alive) for alive in got] == [V, V]
+        for alive, lo in zip(got, (0, SCAN_BATCH)):
+            assert alive == oracle_lanes(masks[lo : lo + SCAN_BATCH], V)
 
     def test_transpose_memory_is_bounded_by_the_lanes(self):
         # one batch of 2048 random 20-sets on AG_7, whose lane ints take 0.65 MB;
