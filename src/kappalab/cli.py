@@ -225,9 +225,12 @@ def cmd_table(args) -> int:
     for f in families:
         if f not in (FAMILY_AG, FAMILY_SPLIT_STAR):
             raise ValueError(f"unknown family {f!r}")
-    ells = sorted(int(e) for e in args.ells.split(","))
-    if any(e not in (3, 4, 5) for e in ells):
-        raise ValueError("ells must be drawn from {3, 4, 5}")
+    try:  # empty entries are skipped, as in --families
+        ells = sorted(int(e) for e in args.ells.split(",") if e.strip())
+        if any(e not in (3, 4, 5) for e in ells):
+            raise ValueError
+    except ValueError:
+        raise ValueError("ells must be drawn from {3, 4, 5}") from None
     for name, entries in (("families", families), ("ells", ells)):
         if len(set(entries)) < len(entries):
             raise ValueError(f"--{name} repeats an entry")

@@ -263,6 +263,26 @@ class LeftTranslations:
         id_of = self.id_of
         return [tuple(sorted(id_of[g(h)] for g in relabel)) for h in self.symbols]
 
+    def orbit_size(self, fault_mask: int, tables: dict) -> int:
+        """V / |stabiliser of F| if F, a fault through 0, is its least pinned translate, else 0.
+
+        F's translates through 0 are p_v^-1 F for v in F (p_v the label of v);
+        the stabiliser holds the p_v with p_v^-1 F = F. ``tables`` maps v to its
+        list u -> ``1 << id(p_v^-1 p_u)``, built on first use and kept for one scan.
+        """
+        members = ids_of(fault_mask)
+        fixed = 1
+        for v in members[1:]:
+            table = tables.get(v)
+            if table is None:
+                relabel = dict(zip(self.symbols[v], itertools.count(1))).__getitem__  # p_v^-1
+                table = tables[v] = [1 << self.id_of[tuple(map(relabel, s))] for s in self.symbols]
+            moved = sum(map(table.__getitem__, members))  # distinct bits: the sum is the OR
+            if moved < fault_mask:
+                return 0
+            fixed += moved == fault_mask
+        return len(self.symbols) // fixed
+
     def orbits(self, faults) -> tuple[tuple[int, ...], ...]:
         """Every translate of every fault, once each, sorted by (size, ids)."""
         found = {t for f in faults for t in self.translates(f)}

@@ -23,11 +23,12 @@ transposed, from the combination patterns of the lex recursion, and
 :func:`mask_batches` transposes any other stream of fault masks.
 A batch is a list of V ints, bit j of ``alive[v]`` set iff vertex v survives
 fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
-on each batch and yields, with their components, the faults leaving enough
-components, each read back from the vertices dead in its lane. On a graph that
+on each batch and yields the mask of each fault leaving enough components,
+read back from the vertices dead in its lane. On a graph that
 :func:`left_translations` accepts, :func:`scan_tasks` keeps only the fault
-sets through vertex 0, one per orbit position; :func:`orbit_total` turns
-their counts back into counts over all fault sets. ``explored`` and
+sets through vertex 0; the hyper scan and the censuses examine only the least
+of each orbit's translates among them, weighted by the orbit size
+(:meth:`~kappalab.graphs.LeftTranslations.orbit_size`). ``explored`` and
 ``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
 """
 
@@ -74,7 +75,6 @@ __all__ = [
     "comb_lex_rank",
     "level_tasks",
     "scan_tasks",
-    "orbit_total",
     "lex_batches",
     "mask_batches",
     "scan_hits",
@@ -205,20 +205,6 @@ def scan_tasks(V: int, k: int, pinned: bool) -> list[tuple[int, tuple[int, ...],
     return [(k, prefix, start) for prefix, start in level_tasks(V, k)]
 
 
-def orbit_total(weighted: int, k: int) -> int:
-    """Number of k-sets with a property, from a pinned scan.
-
-    ``weighted`` sums, over the k-sets F through vertex 0, how many of the V
-    translates of F have the property. Every k-set is the translate of a set
-    through vertex 0 in exactly k ways, one per member, so the count is
-    ``weighted / k``; a remainder means the translations were not automorphisms.
-    """
-    total, rest = divmod(weighted, k)
-    if rest:
-        raise AssertionError(f"pinned count {weighted} is not a multiple of {k}")
-    return total
-
-
 def _lex_patterns(pats: list[int], e0: int, m: int, r: int, lo: int, hi: int, at: int, blocks):
     """Set bit ``at + x - lo`` of ``pats[e0 + i]`` for each lex rank x in
     ``lo..hi-1`` of the r-combinations of ``range(m)`` whose combination holds i.
@@ -295,34 +281,32 @@ def mask_batches(V: int, faults):
         yield alive
 
 
-def scan_hits(G: BitGraph, batches, need: int, limit: int):
-    """``(fault_mask, comps)`` for each fault leaving at least ``need`` components.
+def scan_hits(G: BitGraph, batches, need: int):
+    """The mask of each fault leaving at least ``need`` components, in lane order.
 
-    ``comps`` holds the first ``limit`` components of G - F (0: all of them).
     This is the one subset-scan engine: the level scan, the hyper scan and
-    both cut-structure censuses are reducers over its hits. Each lane batch
-    is filtered by :func:`split_lanes`; only the lanes it flags are read back
-    into a fault mask, the vertices dead in the lane, and reach
-    :func:`component_masks`, in lane order. ``need`` must be at least 2.
+    both cut-structure censuses are reducers over its hits, and those that
+    need a hit's components call :func:`component_masks` themselves. Each
+    lane batch is filtered by :func:`split_lanes`; only the lanes it flags
+    are read back into a fault mask, the vertices dead in the lane. ``need``
+    must be at least 2.
     """
     if need < 2:
         raise ValueError("need must be >= 2")
-    adj, full = G.adj_masks, G.full_mask
     for alive in batches:
         flagged = split_lanes(G.neighbors, alive, need)
         while flagged:
             low = flagged & -flagged
             flagged ^= low
             # one binary digit per vertex, vertex V-1 first: "1" where it is dead
-            fm = int("".join(["0" if a & low else "1" for a in reversed(alive)]), 2)
-            yield fm, component_masks(adj, full ^ fm, limit)
+            yield int("".join(["0" if a & low else "1" for a in reversed(alive)]), 2)
 
 
 def _scan_level_worker(task):
     """First F (lex order) in this task's range with >= ell components."""
     state = worker_state()
     G, ell = state["graph"], state["ell"]
-    for fm, _ in scan_hits(G, lex_batches(G.vertex_count, *task), ell, 1):
+    for fm in scan_hits(G, lex_batches(G.vertex_count, *task), ell):
         return ids_of(fm)
     return None
 
@@ -609,15 +593,20 @@ class HyperScanReport:
 
 
 def _hyper_scan_worker(task):
-    G = worker_state()["graph"]
+    state = worker_state()
+    G, translations = state["graph"], state["translations"]
     disconnecting = 0
     singletons = 0
     exceptional = []
-    # limit 3 tells "exactly two components" apart from "three or more"
-    for fm, comps in scan_hits(G, lex_batches(G.vertex_count, *task), 2, 3):
-        disconnecting += 1
+    for fm in scan_hits(G, lex_batches(G.vertex_count, *task), 2):
+        weight = translations.orbit_size(fm, state["tables"]) if translations else 1
+        if not weight:
+            continue
+        # limit 3 tells "exactly two components" apart from "three or more"
+        comps = component_masks(G.adj_masks, G.full_mask ^ fm, 3)
+        disconnecting += weight
         if len(comps) == 2 and min(c.bit_count() for c in comps) == 1:
-            singletons += 1
+            singletons += weight
         else:
             exceptional.append(ids_of(fm))
     return disconnecting, singletons, exceptional
@@ -633,26 +622,23 @@ def hyper_connectivity_scan(
 
     ``kappa`` is the known connectivity (callers may pass
     :func:`~kappalab.connectivity.vertex_connectivity`). On AG_n and S_n^2
-    only the subsets through vertex 0 are tested; the counts are scaled to
-    all subsets and the exceptional cuts expanded to their orbits.
+    only the least translate through vertex 0 of each cut is examined, counted
+    once per member of its orbit; the exceptional cuts are expanded to orbits.
     """
     V = G.vertex_count
+    if not 0 <= kappa <= V:
+        raise ValueError(f"kappa must be between 0 and {V}, got {kappa}")
     total = math.comb(V, kappa)
     if total > budget:
         return HyperScanReport(kappa, 0, 0, 0, (), inconclusive=True)
     translations = left_translations(G) if kappa else None
     tasks = scan_tasks(V, kappa, translations is not None)
-    with TaskRunner(jobs, {"graph": G}) as runner:
+    with TaskRunner(jobs, {"graph": G, "translations": translations, "tables": {}}) as runner:
         results = runner.map(_hyper_scan_worker, tasks)
     disconnecting = sum(r[0] for r in results)
     singletons = sum(r[1] for r in results)
     exceptional = tuple(f for r in results for f in r[2])
-    evaluated = total
     if translations is not None:
-        disconnecting = orbit_total(V * disconnecting, kappa)
-        singletons = orbit_total(V * singletons, kappa)
         exceptional = translations.orbits(exceptional)
-        evaluated = math.comb(V - 1, kappa - 1)
-    return HyperScanReport(
-        kappa, total, disconnecting, singletons, exceptional, evaluated=evaluated
-    )
+    evaluated = sum(math.comb(V - start, kappa - len(prefix)) for _, prefix, start in tasks)
+    return HyperScanReport(kappa, total, disconnecting, singletons, exceptional, evaluated=evaluated)

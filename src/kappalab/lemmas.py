@@ -22,6 +22,7 @@ from .connectivity import (
     ComponentReport,
     Shape,
     common_neighbors,
+    component_masks,
     component_report,
     components,
     ids_of,
@@ -43,7 +44,6 @@ from .kappa import (
     BudgetExceeded,
     lex_batches,
     mask_batches,
-    orbit_total,
     remark_independent_set,
     scan_hits,
     scan_tasks,
@@ -573,26 +573,32 @@ def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
 
 
 def _census(batches, fsize):
-    """Examine every disconnecting fault of the lane ``batches`` against the rule.
+    """Examine the disconnecting faults of the lane ``batches`` against the rule.
 
-    Returns the fault size, the violating faults, the outcome tally and the
-    exceptional faults, each hit counted once as scanned; only the faults kept
-    (or read by the rule) are listed as ids.
+    Returns the violating faults, the outcome tally and the exceptional
+    faults; only the faults kept (or read by the rule) are listed as ids. A
+    pinned census (``translations`` set) examines only the least translate
+    through vertex 0 of each hit and tallies it by its orbit size (level 0,
+    the empty fault, cuts none of these connected graphs).
     """
     state = worker_state()
     G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
+    translations = state["translations"]
     violations: list[tuple[int, ...]] = []
     outcomes: dict[str, int] = {}
     exc_faults: list[tuple[int, ...]] = []
-    for fm, comps in scan_hits(G, batches, 2, 0):
-        report = component_report(G.neighbors, fm, comps)
+    for fm in scan_hits(G, batches, 2):
+        weight = translations.orbit_size(fm, state["tables"]) if translations else 1
+        if not weight:
+            continue
+        report = component_report(G.neighbors, fm, component_masks(G.adj_masks, G.full_mask ^ fm))
         sig = _signature(report)
-        outcomes[sig] = outcomes.get(sig, 0) + 1
+        outcomes[sig] = outcomes.get(sig, 0) + weight
         if not rule(G, report, fsize):
             violations.append(report.fault)
         elif exceptional is not None and exceptional(report):
             exc_faults.append(report.fault)
-    return fsize, violations, outcomes, exc_faults
+    return violations, outcomes, exc_faults
 
 
 def _census_worker(task):
@@ -638,12 +644,12 @@ def verify_cut_structure(
     skipped. ``allowed`` may be a rule key, a rule object, or a predicate
     ``(graph, report, fault_size) -> bool``.
 
-    An exhaustive census of a registered rule on AG_n or S_n^2 tests only the
-    faults through vertex 0 (every outcome is the same on all translates of a
-    fault); its tallies are scaled by :func:`~kappalab.kappa.orbit_total` and
-    its fault lists expanded to orbits, sorted by (size, ids) as the full scan
-    lists them. ``instances_checked`` still counts every fault covered. Custom
-    predicates, edited graphs and sampled runs examine every fault they cover.
+    An exhaustive census of a registered rule on AG_n or S_n^2 examines one
+    fault per orbit, the least translate through vertex 0 (every outcome is the
+    same on all translates), and tallies it by its orbit size; fault lists are
+    expanded to orbits, sorted by (size, ids) as the full scan lists them.
+    ``instances_checked`` still counts every fault covered. Custom predicates,
+    edited graphs and sampled runs examine every fault they cover.
     """
     exceptional = None
     if isinstance(allowed, str):
@@ -661,21 +667,16 @@ def verify_cut_structure(
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     state = {"graph": G, "rule": rule_fn, "exceptional": exceptional, "size": size_bound,
-             "seed": seed}
+             "seed": seed, "translations": None, "tables": {}}
     translations = None
 
     def merge(results, checked, evaluated, mode_name, report_trials=None):
-        violations = [f for r in results for f in r[1]]
-        exc = [f for r in results for f in r[3]]
-        weighted: dict[tuple[int, str], int] = {}
-        for k, _, tally, _ in results:
-            for sig, c in tally.items():
-                weighted[k, sig] = weighted.get((k, sig), 0) + c
+        violations = [f for r in results for f in r[0]]
+        exc = [f for r in results for f in r[2]]
         outcomes: dict[str, int] = {}
-        for (k, sig), c in weighted.items():
-            if translations is not None and k:
-                c = orbit_total(V * c, k)
-            outcomes[sig] = outcomes.get(sig, 0) + c
+        for _, tally, _ in results:
+            for sig, c in tally.items():
+                outcomes[sig] = outcomes.get(sig, 0) + c
         if translations is not None:
             violations = translations.orbits(violations)
             exc = translations.orbits(exc)
@@ -695,7 +696,7 @@ def verify_cut_structure(
                 f"exhaustive census of {total} subsets exceeds budget {budget}"
             )
         if isinstance(allowed, CutStructureRule) and CUT_RULES.get(allowed.key) is allowed:
-            translations = left_translations(G)
+            state["translations"] = translations = left_translations(G)
         pinned = translations is not None
         tasks = [t for k in range(size_bound + 1) for t in scan_tasks(V, k, pinned)]
         with TaskRunner(jobs, state) as runner:

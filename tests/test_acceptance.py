@@ -227,6 +227,9 @@ DETERMINISM_COMMANDS = [
     ["kappa", "--family", "ag", "--n", "5", "--ell", "3", "--witness", "--B", "1"],
     ["verify", "--lemma", "cut-structure", "--family", "ag", "--n", "4",
      "--bound", "5"],
+    # 63 exceptional faults, each rebuilt from the orbit's one examined fault
+    ["verify", "--lemma", "cut-structure", "--family", "s2", "--n", "4",
+     "--bound", "8"],
     ["verify", "--lemma", "cut-structure", "--family", "ag", "--n", "5",
      "--bound", "10", "--mode", "sampled", "--trials", "5000", "--seed", "3"],
     ["table", "--families", "ag,s2", "--n-max", "5", "--budget", "5000"],

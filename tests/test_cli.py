@@ -325,6 +325,22 @@ class TestTable:
         assert captured.out == ""
         assert captured.err == f"kappalab: {flag} repeats an entry\n"
 
+    def test_empty_ells_entry_is_skipped(self, capsys):
+        # as an empty --families entry is
+        code, out = run_cli(capsys, "table", "--families", "ag", "--ells", "3,,4",
+                            "--n-max", "5", "--budget", "1000")
+        assert code == 0
+        assert out == run_cli(capsys, "table", "--families", "ag", "--ells", "3,4",
+                              "--n-max", "5", "--budget", "1000")[1]
+
+    @pytest.mark.parametrize("ells", ["3,x", "3,4.0", "6"])
+    def test_bad_ells_entry_usage_error(self, capsys, ells):
+        code = main(["table", "--n-max", "4", "--ells", ells])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "kappalab: ells must be drawn from {3, 4, 5}\n"
+
     @pytest.mark.parametrize("argv", [
         ("--n-max", "3"),
         ("--families", ","),

@@ -353,8 +353,9 @@ class TestPaperCuts:
                 assert verify_cut(G, w.fault, ell) == w
             S = paper_set(G, 3)
             assert common_neighbors(G, S[0], S[1]) and is_independent(G, S)
+            kappa_ell_exhaustive(G, 2, k_max=1)  # no level has a hit, so no kernel call
             assert "adj_masks" not in vars(G)
-            kappa_ell_exhaustive(G, 2, k_max=1)
+            kappa_ell_witness_search(G, 2)  # reads the masks on its first step
             masks = vars(G)["adj_masks"]
             assert G.adj_masks is masks
             assert masks == tuple(map(mask_of, G.neighbors))
@@ -434,6 +435,12 @@ class TestHyperScan:
         assert rep.inconclusive
         assert not rep.hyper_connected
 
+    @pytest.mark.parametrize("kappa", [-1, 13])
+    def test_kappa_outside_the_vertex_range_is_refused(self, ag4, kappa):
+        # once a bare math.comb error (-1) and an empty report (13 > V = 12)
+        with pytest.raises(ValueError, match=f"kappa must be between 0 and 12, got {kappa}"):
+            hyper_connectivity_scan(ag4, kappa)
+
     def test_jobs_do_not_change_report(self, ag4):
         assert hyper_connectivity_scan(ag4, 4, jobs=1) == hyper_connectivity_scan(
             ag4, 4, jobs=3
@@ -475,13 +482,13 @@ class TestScanHits:
         rng = random.Random(count)
         G = sparse_random_graph(rng, 24)
         faults = [mask_of(rng.sample(range(24), rng.randint(0, 24))) for _ in range(count)]
-        for need, limit in ((2, 2), (2, 3), (3, 0), (4, 2)):
-            want = []
-            for fm in faults:
-                if len(component_masks(G.adj_masks, G.full_mask ^ fm)) >= need:
-                    want.append((fm, component_masks(G.adj_masks, G.full_mask ^ fm, limit)))
-            assert list(scan_hits(G, mask_batches(24, faults), need, limit)) == want
-        hits = {fm for fm, _ in scan_hits(G, mask_batches(24, iter(faults)), 2, 2)}
+        for need in (2, 3, 4):
+            want = [
+                fm for fm in faults
+                if len(component_masks(G.adj_masks, G.full_mask ^ fm)) >= need
+            ]
+            assert list(scan_hits(G, mask_batches(24, faults), need)) == want
+        hits = set(scan_hits(G, mask_batches(24, iter(faults)), 2))
         assert [fm in hits for fm in faults] == oracle_disconnected(G, faults)
 
     @pytest.mark.parametrize("V", [65, 257, 300])
@@ -495,17 +502,19 @@ class TestScanHits:
         faults += [G.full_mask, G.full_mask ^ 1 << (V - 1), 1 << (V - 1) | 1 << (V - 3)]
         disconnected = oracle_disconnected(G, faults)
         assert 0 < sum(disconnected) < len(faults)
-        hits = list(scan_hits(G, mask_batches(V, faults), 2, 0))
-        assert [fm for fm, _ in hits] == [fm for fm, d in zip(faults, disconnected) if d]
+        hits = list(scan_hits(G, mask_batches(V, faults), 2))
+        assert hits == [fm for fm, d in zip(faults, disconnected) if d]
         adj = adjacency_dict(G)
-        for fm, comps in hits:
+        for fm in hits:
+            comps = component_masks(G.adj_masks, G.full_mask ^ fm)
             want = oracle_components(adj, ids_of(fm))
             assert set(frozenset(ids_of(c)) for c in comps) == set(want)
 
     @pytest.mark.parametrize("need, limit", [(2, 3), (3, 3), (4, 0)])
     def test_lex_source_matches_mask_source(self, s4, need, limit):
         # the pinned task (7, (0,), 1) has a dead prefix vertex below its start;
-        # (7, (1,), 2) keeps vertex 0 alive below its start and kills vertex 1
+        # (7, (1,), 2) keeps vertex 0 alive below its start and kills vertex 1.
+        # A reducer reads the first ``limit`` components of a hit itself.
         adj, full = s4.adj_masks, s4.full_mask
         for task in scan_tasks(24, 7, True)[:3] + scan_tasks(24, 7, False)[1:2]:
             faults = list(lex_fault_masks(24, *task))
@@ -514,13 +523,13 @@ class TestScanHits:
                 for fm in faults
                 if len(component_masks(adj, full ^ fm, need)) >= need
             ]
-            got = list(scan_hits(s4, lex_batches(24, *task), need, limit))
-            assert got == want
-            assert got == list(scan_hits(s4, mask_batches(24, faults), need, limit))
+            hits = list(scan_hits(s4, lex_batches(24, *task), need))
+            assert [(fm, component_masks(adj, full ^ fm, limit)) for fm in hits] == want
+            assert hits == list(scan_hits(s4, mask_batches(24, faults), need))
 
     def test_rejects_need_below_two(self, ag4):
         with pytest.raises(ValueError):
-            list(scan_hits(ag4, mask_batches(12, [0]), 1, 0))
+            list(scan_hits(ag4, mask_batches(12, [0]), 1))
 
 
 def assert_source_matches_oracle(V, task, batches=None):

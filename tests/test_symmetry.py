@@ -3,10 +3,13 @@
 On AG_n and S_n^2 the level scan, the hyper scan and the registered
 cut-structure censuses test only the fault sets through vertex 0. The
 tests run each call a second time with the gate forced off, so that every
-fault set is tested, and require equal results.
+fault set is tested, and require equal results. The hyper scan and the
+censuses examine one fault set per orbit, weighted by the orbit size; that
+weight is checked against brute-force orbits.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -14,9 +17,11 @@ import pytest
 
 from kappalab import kappa, lemmas
 from kappalab.connectivity import components
-from kappalab.graphs import BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations
-from kappalab.kappa import hyper_connectivity_scan, kappa_ell_exhaustive, scan_tasks
+from kappalab.graphs import (BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations,
+                             mask_of)
+from kappalab.kappa import PAPER_SETS, hyper_connectivity_scan, kappa_ell_exhaustive, scan_tasks
 from kappalab.lemmas import CUT_RULES, verify_cut_structure
+from kappalab.perms import Perm
 
 from .oracles import lex_fault_masks
 from .test_lemmas import add_edge, drop_edge
@@ -33,6 +38,20 @@ def full_scan(monkeypatch):
             return fn(*args, **kwargs)
 
     return run
+
+
+@pytest.fixture
+def report_calls(monkeypatch):
+    """A one-item list counting the census's ``component_report`` calls."""
+    calls = [0]
+    report = lemmas.component_report
+
+    def counted(*args):
+        calls[0] += 1
+        return report(*args)
+
+    monkeypatch.setattr(lemmas, "component_report", counted)
+    return calls
 
 
 class TestGate:
@@ -73,6 +92,36 @@ class TestGate:
             full = [fm for t in scan_tasks(V, k, False) for fm in lex_fault_masks(V, *t)]
             assert faults == full[: math.comb(V - 1, k - 1)]
             assert all(fm & 1 for fm in faults)
+
+
+class TestOrbitSize:
+    @pytest.mark.parametrize("graph,k_max", [("ag4", 6), ("s4", 4)])
+    def test_weights_the_least_pinned_translate_by_its_orbit(self, graph, k_max, request):
+        G = request.getfixturevalue(graph)
+        tr, V, tables = left_translations(G), G.vertex_count, {}
+        stabilised = 0
+        for k in range(1, k_max + 1):
+            level = 0
+            for rest in itertools.combinations(range(1, V), k - 1):
+                fm = mask_of((0,) + rest)
+                translates = tr.translates((0,) + rest)
+                least = min(mask_of(t) for t in translates if 0 in t)
+                weight = tr.orbit_size(fm, tables)
+                assert weight == (len(set(translates)) if fm == least else 0), rest
+                stabilised += 0 < weight < V
+                level += weight
+            assert level == math.comb(V, k)
+        assert stabilised == {"ag4": 30, "s4": 62}[graph]
+        assert set(vars(tr)) == {"symbols", "id_of"}  # the tables stay with the caller
+
+    @pytest.mark.parametrize("graph,ids,weight", [("ag4", (0, 3, 8, 11), 3), ("s4", None, 6)])
+    def test_klein_four_group_is_its_own_stabiliser(self, graph, ids, weight, request):
+        G = request.getfixturevalue(graph)
+        S = tuple(sorted(G.vertex_id(Perm(p)) for p in PAPER_SETS[G.family]))
+        assert ids is None or S == ids
+        assert left_translations(G).orbit_size(mask_of(S), {}) == weight
+        if ids:  # AG_4's exceptional hyper cut
+            assert S in hyper_connectivity_scan(G, 4).exceptional
 
 
 class TestLevelScan:
@@ -173,6 +222,23 @@ class TestCensus:
         assert r.evaluated == r.instances_checked
         r = verify_cut_structure(drop_edge(ag4, 0, ag4.neighbors[0][0]), 4, "ag-4n-11")
         assert r.evaluated == r.instances_checked
+
+    @pytest.mark.parametrize(
+        "graph,bound,rule,reports,hits",
+        [("s4", 8, "s2-4n-8", 1_025, 24_483), ("ag4", 5, "ag-4n-11", 13, 147)],
+    )
+    def test_reports_one_fault_per_orbit(self, graph, bound, rule, reports, hits,
+                                         report_calls, request):
+        # a full scan reports every hit through vertex 0: 7,967 on S_4^2, 60 on AG_4
+        r = verify_cut_structure(request.getfixturevalue(graph), bound, rule)
+        assert (report_calls[0], sum(c for _, c in r.outcome_counts)) == (reports, hits)
+
+    def test_edited_graph_and_custom_predicate_report_every_hit(self, ag4, report_calls):
+        edited = drop_edge(ag4, 0, ag4.neighbors[0][0])
+        for G, allowed in ((edited, "ag-4n-11"), (ag4, lambda G, rep, fsize: True)):
+            report_calls[0] = 0
+            r = verify_cut_structure(G, 5, allowed)
+            assert report_calls[0] == sum(c for _, c in r.outcome_counts) > 0
 
     def test_size_tie_orbit_has_one_outcome(self, s4):
         # On S_4^2 this 13-fault leaves a 4-cycle and an "other" component of
