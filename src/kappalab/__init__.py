@@ -19,21 +19,13 @@ from .graphs import (
     FAMILY_SPLIT_STAR,
     BitGraph,
     CayleyGraph,
-    DecompositionIndex,
-    EdgeGenerator,
-    EdgeKind,
-    EdgeLocality,
     LeftTranslations,
-    ParitySplit,
     build_ag,
     build_family,
     build_splitstar,
-    classify_edge,
-    decompose,
     external_edge_count,
     left_translations,
     out_neighbors,
-    parity_split,
     to_dimacs,
     to_json_dict,
 )

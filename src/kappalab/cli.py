@@ -26,6 +26,8 @@ from .graphs import (
 )
 from .kappa import (
     DEFAULT_BUDGET,
+    KAPPA_FORMULAS,
+    Tier,
     construct_paper_cut,
     kappa_ell_exhaustive,
     kappa_ell_witness_search,
@@ -183,8 +185,7 @@ def _table_rows(families, n_max, ells):
     for family in families:
         top = min(n_max, MAX_N_AG if family == FAMILY_AG else MAX_N_SPLIT_STAR)
         for ell in ells:
-            n_min = 5 if (family == FAMILY_AG and ell == 5) else 4
-            for n in range(n_min, top + 1):
+            for n in range(KAPPA_FORMULAS[(family, ell)][2], top + 1):
                 yield family, ell, n
 
 
@@ -195,7 +196,7 @@ def _table_row(G, family, ell, n, budget, jobs):
         result = kappa_ell_exhaustive(G, ell, k_max=formula, budget=budget, jobs=jobs)
         value, tier = result.value, result.tier.value
     else:
-        value, tier = len(construct_paper_cut(G, ell).fault), "WitnessUpperBound"
+        value, tier = len(construct_paper_cut(G, ell).fault), Tier.WITNESS_UPPER_BOUND.value
     h = ell - 2
     a, b, h_min_n = H_EXTRA_REFERENCE[(family, h)]
     return {

@@ -51,8 +51,9 @@ def component_masks(adj: tuple[int, ...], alive: int, limit: int = 0) -> list[in
     """Connected components of the subgraph induced by ``alive``, as masks.
 
     Components come in order of their lowest vertex id; with ``limit`` > 0
-    only the first ``limit`` of them are found. This is the one routine that
-    finds components: every count and component report runs through it.
+    only the first ``limit`` of them are found. Every component count, and
+    every component report a census makes, runs through it; :func:`components`
+    walks the neighbour lists instead.
     """
     comps = []
     remaining = alive

@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .perms import (Parity, Perm, even_rank, exchange, parity, rank, rot_minus, rot_plus,
-                    symbols_text)
+from .perms import Perm, even_rank, exchange, rank, rot_minus, rot_plus, symbols_text
 
 FAMILY_AG = "ag"
 FAMILY_SPLIT_STAR = "s2"
@@ -50,20 +48,12 @@ __all__ = [
     "MAX_N_SPLIT_STAR",
     "BitGraph",
     "CayleyGraph",
-    "EdgeLocality",
-    "EdgeGenerator",
-    "EdgeKind",
-    "DecompositionIndex",
     "LeftTranslations",
-    "ParitySplit",
     "build_ag",
     "build_splitstar",
     "build_family",
-    "classify_edge",
-    "decompose",
     "external_edge_count",
     "left_translations",
-    "parity_split",
     "out_neighbors",
     "to_dimacs",
     "to_json_dict",
@@ -301,53 +291,6 @@ def left_translations(G: BitGraph) -> LeftTranslations | None:
     return G.translations if isinstance(G, CayleyGraph) else None
 
 
-class EdgeLocality(Enum):
-    INTERNAL = "internal"
-    EXTERNAL = "external"
-
-
-class EdgeGenerator(Enum):
-    THREE_ROTATION = "3-rotation"
-    TWO_EXCHANGE = "2-exchange"
-
-
-@dataclass(frozen=True)
-class EdgeKind:
-    locality: EdgeLocality
-    generator: EdgeGenerator
-    matching: bool  # true iff a 2-exchange edge joining the parity halves
-
-
-def classify_edge(G: CayleyGraph, u: int, v: int) -> EdgeKind:
-    """Classify an edge by last-symbol locality and by generating operation."""
-    if not G.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    locality = (
-        EdgeLocality.INTERNAL
-        if G.last_symbol(u) == G.last_symbol(v)
-        else EdgeLocality.EXTERNAL
-    )
-    if G.is_splitstar and exchange(G.label(u)) == G.label(v):
-        generator = EdgeGenerator.TWO_EXCHANGE
-    else:
-        generator = EdgeGenerator.THREE_ROTATION
-    return EdgeKind(locality, generator, matching=generator is EdgeGenerator.TWO_EXCHANGE)
-
-
-@dataclass(frozen=True)
-class DecompositionIndex:
-    """Partition of the vertices by rightmost symbol."""
-
-    parts: dict[int, tuple[int, ...]]
-
-
-def decompose(G: CayleyGraph) -> DecompositionIndex:
-    parts: dict[int, list[int]] = {i: [] for i in range(1, G.n + 1)}
-    for v in range(G.vertex_count):
-        parts[G.last_symbol(v)].append(v)
-    return DecompositionIndex({i: tuple(vs) for i, vs in parts.items()})
-
-
 def external_edge_count(G: CayleyGraph, i: int, j: int) -> int:
     """Number of edges joining the last-symbol-i and last-symbol-j parts."""
     if i == j:
@@ -360,32 +303,6 @@ def external_edge_count(G: CayleyGraph, i: int, j: int) -> int:
         if G.last_symbol(v) == i:
             count += (G.adj_masks[v] & mask_j).bit_count()
     return count
-
-
-@dataclass(frozen=True)
-class ParitySplit:
-    even: tuple[int, ...]
-    odd: tuple[int, ...]
-    matching_edges: tuple[tuple[int, int], ...]
-
-
-def parity_split(G: CayleyGraph) -> ParitySplit:
-    """Split S_n^2 into its even/odd halves and list the matching edges."""
-    if not G.is_splitstar:
-        raise ValueError("parity_split applies to the split-star family only")
-    id_of = {s: v for v, s in enumerate(G.labels)}
-    even = []
-    odd = []
-    matching = []
-    for v in range(G.vertex_count):
-        p = G.label(v)
-        if parity(p) is Parity.EVEN:
-            even.append(v)
-            w = id_of[exchange(p).symbols]
-            matching.append((v, w) if v < w else (w, v))
-        else:
-            odd.append(v)
-    return ParitySplit(tuple(even), tuple(odd), tuple(sorted(matching)))
 
 
 def out_neighbors(G: CayleyGraph, v: int) -> tuple[int, ...]:

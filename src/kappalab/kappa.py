@@ -24,10 +24,12 @@ transposed, from the combination patterns of the lex recursion, and
 A batch is a list of V ints, bit j of ``alive[v]`` set iff vertex v survives
 fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
 on each batch and yields the mask of each fault leaving enough components,
-read back from the vertices dead in its lane. On a graph that
-:func:`left_translations` accepts, :func:`scan_tasks` keeps only the fault
-sets through vertex 0; the hyper scan and the censuses examine only the least
-of each orbit's translates among them, weighted by the orbit size
+read back from the vertices dead in its lane. The level scan stops at the
+first hit; the hyper scan and the cut-structure censuses of
+:mod:`kappalab.lemmas` are censuses, all run by :func:`run_census`. On a
+graph that :func:`left_translations` accepts, :func:`scan_tasks` keeps only
+the fault sets through vertex 0; a census examines only the least of each
+orbit's translates among them, weighted by the orbit size
 (:meth:`~kappalab.graphs.LeftTranslations.orbit_size`). ``explored`` and
 ``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +46,7 @@ from ._parallel import TaskRunner, worker_state
 from .connectivity import (
     ComponentReport,
     component_masks,
+    component_report,
     components,
     ids_of,
     mask_of,
@@ -78,6 +82,8 @@ __all__ = [
     "lex_batches",
     "mask_batches",
     "scan_hits",
+    "level_faults",
+    "run_census",
 ]
 
 
@@ -284,12 +290,11 @@ def mask_batches(V: int, faults):
 def scan_hits(G: BitGraph, batches, need: int):
     """The mask of each fault leaving at least ``need`` components, in lane order.
 
-    This is the one subset-scan engine: the level scan, the hyper scan and
-    both cut-structure censuses are reducers over its hits, and those that
-    need a hit's components call :func:`component_masks` themselves. Each
-    lane batch is filtered by :func:`split_lanes`; only the lanes it flags
-    are read back into a fault mask, the vertices dead in the lane. ``need``
-    must be at least 2.
+    This is the one subset-scan engine. Its two reducers are the level scan
+    and :func:`run_census`, which finds each hit's components with
+    :func:`component_masks`. Each lane batch is filtered by
+    :func:`split_lanes`; only the lanes it flags are read back into a fault
+    mask, the vertices dead in the lane. ``need`` must be at least 2.
     """
     if need < 2:
         raise ValueError("need must be >= 2")
@@ -300,6 +305,70 @@ def scan_hits(G: BitGraph, batches, need: int):
             flagged ^= low
             # one binary digit per vertex, vertex V-1 first: "1" where it is dead
             yield int("".join(["0" if a & low else "1" for a in reversed(alive)]), 2)
+
+
+def _signature(report: ComponentReport) -> str:
+    return ",".join(s.value for s in report.shapes)
+
+
+def _census(task):
+    """Examine the disconnecting faults of one census task against the rule.
+
+    ``faults(task)`` gives the task's lane batches, fault size and fault
+    count. Returns the violating faults, the outcome tally, the exceptional
+    faults and the fault count; only the faults kept (or read by the rule)
+    are listed as ids. A pinned census (``translations`` set) examines only
+    the least translate through vertex 0 of each hit and tallies it by its
+    orbit size (level 0, the empty fault, cuts none of these connected graphs).
+    """
+    state = worker_state()
+    G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
+    translations = state["translations"]
+    batches, fsize, tested = state["faults"](task)
+    violations: list[tuple[int, ...]] = []
+    outcomes: Counter[str] = Counter()
+    exc_faults: list[tuple[int, ...]] = []
+    for fm in scan_hits(G, batches, 2):
+        weight = translations.orbit_size(fm, state["tables"]) if translations else 1
+        if not weight:
+            continue
+        report = component_report(G.neighbors, fm, component_masks(G.adj_masks, G.full_mask ^ fm))
+        outcomes[_signature(report)] += weight
+        if not rule(G, report, fsize):
+            violations.append(report.fault)
+        elif exceptional is not None and exceptional(report):
+            exc_faults.append(report.fault)
+    return violations, outcomes, exc_faults, tested
+
+
+def level_faults(task):
+    """The lane batches, fault size and fault count of the level task ``(k, prefix, start)``."""
+    k, prefix, start = task
+    V = worker_state()["graph"].vertex_count
+    return lex_batches(V, *task), k, math.comb(V - start, k - len(prefix))
+
+
+def run_census(G: BitGraph, rule, exceptional, translations, faults, tasks, jobs: int):
+    """The census of ``tasks``, each read by ``faults`` (as :func:`level_faults`).
+
+    ``rule(G, report, fault_size)`` says whether a disconnecting fault is
+    allowed and ``exceptional(report)`` (or None) whether an allowed one is
+    listed. Returns ``(violations, outcome_counts, exceptional, evaluated)``:
+    the fault lists in task order, or expanded to orbits and sorted by
+    (size, ids) when ``translations`` is set; the signature tally as sorted
+    ``(signature, count)`` pairs; and the number of faults tested.
+    """
+    state = {"graph": G, "rule": rule, "exceptional": exceptional,
+             "translations": translations, "faults": faults, "tables": {}}
+    with TaskRunner(jobs, state) as runner:
+        results = runner.map(_census, tasks)
+    violations = [f for r in results for f in r[0]]
+    exc = [f for r in results for f in r[2]]
+    outcomes = sum((r[1] for r in results), Counter())
+    if translations is not None:
+        violations, exc = translations.orbits(violations), translations.orbits(exc)
+    evaluated = sum(r[3] for r in results)
+    return tuple(violations), tuple(sorted(outcomes.items())), tuple(exc), evaluated
 
 
 def _scan_level_worker(task):
@@ -499,14 +568,14 @@ def remark_independent_set(G: CayleyGraph, size: int, i: int, j: int) -> tuple[i
     return tuple(G.vertex_id(p) for p in members)
 
 
-# the paper's kappa_l = a*n - b, as (a, b) per (family, l)
+# the paper's kappa_l = a*n - b from n = min_n on, as (a, b, min_n) per (family, l)
 KAPPA_FORMULAS = {
-    (FAMILY_AG, 3): (4, 10),
-    (FAMILY_AG, 4): (6, 16),
-    (FAMILY_AG, 5): (8, 24),
-    (FAMILY_SPLIT_STAR, 3): (4, 8),
-    (FAMILY_SPLIT_STAR, 4): (6, 14),
-    (FAMILY_SPLIT_STAR, 5): (8, 20),
+    (FAMILY_AG, 3): (4, 10, 4),
+    (FAMILY_AG, 4): (6, 16, 4),
+    (FAMILY_AG, 5): (8, 24, 5),
+    (FAMILY_SPLIT_STAR, 3): (4, 8, 4),
+    (FAMILY_SPLIT_STAR, 4): (6, 14, 4),
+    (FAMILY_SPLIT_STAR, 5): (8, 20, 4),
 }
 
 
@@ -521,12 +590,12 @@ PAPER_SETS = {
 
 
 def kappa_formula(family: str, ell: int, n: int) -> int:
-    a, b = KAPPA_FORMULAS[(family, ell)]
+    a, b, _ = KAPPA_FORMULAS[(family, ell)]
     return a * n - b
 
 
 def kappa_formula_text(family: str, ell: int) -> str:
-    a, b = KAPPA_FORMULAS[(family, ell)]
+    a, b, _ = KAPPA_FORMULAS[(family, ell)]
     return f"{a}n-{b}"
 
 
@@ -543,7 +612,7 @@ def construct_paper_cut(G: CayleyGraph, ell: int) -> CutWitness:
     if ell not in (3, 4, 5):
         raise ValueError("paper cuts exist for ell in {3, 4, 5}")
     n = G.n
-    n_min = 5 if G.family == FAMILY_AG and ell == 5 else 4
+    n_min = KAPPA_FORMULAS[(G.family, ell)][2]
     if n < n_min:
         raise ValueError(f"{G.family} paper cut for ell={ell} needs n >= {n_min}, got {n}")
     rest = tuple(range(5, n + 1))
@@ -592,24 +661,13 @@ class HyperScanReport:
         }
 
 
-def _hyper_scan_worker(task):
-    state = worker_state()
-    G, translations = state["graph"], state["translations"]
-    disconnecting = 0
-    singletons = 0
-    exceptional = []
-    for fm in scan_hits(G, lex_batches(G.vertex_count, *task), 2):
-        weight = translations.orbit_size(fm, state["tables"]) if translations else 1
-        if not weight:
-            continue
-        # limit 3 tells "exactly two components" apart from "three or more"
-        comps = component_masks(G.adj_masks, G.full_mask ^ fm, 3)
-        disconnecting += weight
-        if len(comps) == 2 and min(c.bit_count() for c in comps) == 1:
-            singletons += weight
-        else:
-            exceptional.append(ids_of(fm))
-    return disconnecting, singletons, exceptional
+def _allow_every_cut(G, report, fsize) -> bool:
+    return True
+
+
+def _not_a_singleton_split(report: ComponentReport) -> bool:
+    """True unless the cut leaves exactly two components, the smaller a singleton."""
+    return report.count != 2 or report.sizes()[1] != 1
 
 
 def hyper_connectivity_scan(
@@ -621,9 +679,12 @@ def hyper_connectivity_scan(
     """Scan every |F| = kappa subset; classify all disconnecting ones.
 
     ``kappa`` is the known connectivity (callers may pass
-    :func:`~kappalab.connectivity.vertex_connectivity`). On AG_n and S_n^2
-    only the least translate through vertex 0 of each cut is examined, counted
-    once per member of its orbit; the exceptional cuts are expanded to orbits.
+    :func:`~kappalab.connectivity.vertex_connectivity`). This is the census
+    of the one level kappa: every cut is allowed, and a cut is exceptional
+    unless it leaves exactly two components, the smaller a singleton. On
+    AG_n and S_n^2 only the least translate through vertex 0 of each cut is
+    examined, counted once per member of its orbit; the exceptional cuts are
+    expanded to orbits.
     """
     V = G.vertex_count
     if not 0 <= kappa <= V:
@@ -631,14 +692,11 @@ def hyper_connectivity_scan(
     total = math.comb(V, kappa)
     if total > budget:
         return HyperScanReport(kappa, 0, 0, 0, (), inconclusive=True)
-    translations = left_translations(G) if kappa else None
+    translations = left_translations(G)
     tasks = scan_tasks(V, kappa, translations is not None)
-    with TaskRunner(jobs, {"graph": G, "translations": translations, "tables": {}}) as runner:
-        results = runner.map(_hyper_scan_worker, tasks)
-    disconnecting = sum(r[0] for r in results)
-    singletons = sum(r[1] for r in results)
-    exceptional = tuple(f for r in results for f in r[2])
-    if translations is not None:
-        exceptional = translations.orbits(exceptional)
-    evaluated = sum(math.comb(V - start, kappa - len(prefix)) for _, prefix, start in tasks)
-    return HyperScanReport(kappa, total, disconnecting, singletons, exceptional, evaluated=evaluated)
+    _, outcome_counts, exceptional, evaluated = run_census(
+        G, _allow_every_cut, _not_a_singleton_split, translations, level_faults, tasks, jobs
+    )
+    disconnecting = sum(c for _, c in outcome_counts)
+    return HyperScanReport(kappa, total, disconnecting, disconnecting - len(exceptional),
+                           exceptional, evaluated=evaluated)

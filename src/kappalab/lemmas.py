@@ -7,6 +7,10 @@ Every verifier returns a :class:`VerificationReport`; exhaustive runs check
 every instance, sampled runs draw seeded uniform fault sets (Fisher-Yates
 prefix, drawing from the stream exactly as ``random.Random.randrange`` does)
 and are reported as "consistent (sampled)", never as proved.
+
+The cut-structure rules live here; their censuses, exhaustive and sampled,
+run on the census reducer :func:`kappalab.kappa.run_census`, which the hyper
+scan shares. This module only hands it the sampled faults.
 """
 
 from __future__ import annotations
@@ -17,13 +21,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from ._parallel import TaskRunner, worker_state
+from ._parallel import worker_state
 from .connectivity import (
     ComponentReport,
     Shape,
     common_neighbors,
-    component_masks,
-    component_report,
     components,
     ids_of,
     is_independent,
@@ -42,10 +44,10 @@ from .graphs import (
 from .kappa import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    lex_batches,
+    level_faults,
     mask_batches,
     remark_independent_set,
-    scan_hits,
+    run_census,
     scan_tasks,
 )
 from .perms import Perm, exchange, rot_minus, rot_plus
@@ -442,10 +444,6 @@ class CutStructureRule:
         return self.family == family and n >= self.min_n and self.bound(n) >= bound
 
 
-def _signature(report: ComponentReport) -> str:
-    return ",".join(s.value for s in report.shapes)
-
-
 def _shapes_small(report: ComponentReport) -> list[Shape]:
     # all but the largest component (report is sorted largest first)
     return list(report.shapes[1:])
@@ -572,47 +570,12 @@ def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
     raise ValueError(f"no cut-structure rule for family={family}, n={n}, bound={bound}")
 
 
-def _census(batches, fsize):
-    """Examine the disconnecting faults of the lane ``batches`` against the rule.
-
-    Returns the violating faults, the outcome tally and the exceptional
-    faults; only the faults kept (or read by the rule) are listed as ids. A
-    pinned census (``translations`` set) examines only the least translate
-    through vertex 0 of each hit and tallies it by its orbit size (level 0,
-    the empty fault, cuts none of these connected graphs).
-    """
-    state = worker_state()
-    G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
-    translations = state["translations"]
-    violations: list[tuple[int, ...]] = []
-    outcomes: dict[str, int] = {}
-    exc_faults: list[tuple[int, ...]] = []
-    for fm in scan_hits(G, batches, 2):
-        weight = translations.orbit_size(fm, state["tables"]) if translations else 1
-        if not weight:
-            continue
-        report = component_report(G.neighbors, fm, component_masks(G.adj_masks, G.full_mask ^ fm))
-        sig = _signature(report)
-        outcomes[sig] = outcomes.get(sig, 0) + weight
-        if not rule(G, report, fsize):
-            violations.append(report.fault)
-        elif exceptional is not None and exceptional(report):
-            exc_faults.append(report.fault)
-    return violations, outcomes, exc_faults
-
-
-def _census_worker(task):
+def _sampled_faults(task):
+    """The lane batches, fault size and fault count of the sampled task
+    ``(size, seed, chunk, trials)``, read by :func:`~kappalab.kappa.run_census`."""
+    size, seed, chunk, trials = task
     V = worker_state()["graph"].vertex_count
-    return _census(lex_batches(V, *task), task[0])
-
-
-def _sampled_census_worker(task):
-    state = worker_state()
-    chunk, trials = task
-    size = state["size"]
-    V = state["graph"].vertex_count
-    faults = _sampled_fault_masks(state["seed"], chunk, trials, V, size)
-    return _census(mask_batches(V, faults), size)
+    return mask_batches(V, _sampled_fault_masks(seed, chunk, trials, V, size)), size, trials
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:
@@ -666,51 +629,34 @@ def verify_cut_structure(
         raise ValueError(f"fault size bound must be between 0 and {V}, got {size_bound}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    state = {"graph": G, "rule": rule_fn, "exceptional": exceptional, "size": size_bound,
-             "seed": seed, "translations": None, "tables": {}}
     translations = None
-
-    def merge(results, checked, evaluated, mode_name, report_trials=None):
-        violations = [f for r in results for f in r[0]]
-        exc = [f for r in results for f in r[2]]
-        outcomes: dict[str, int] = {}
-        for _, tally, _ in results:
-            for sig, c in tally.items():
-                outcomes[sig] = outcomes.get(sig, 0) + c
-        if translations is not None:
-            violations = translations.orbits(violations)
-            exc = translations.orbits(exc)
-        return VerificationReport(
-            lemma_id, G.family, G.n, mode_name, checked,
-            tuple(_violation_payload(G, components(G, f)) for f in violations),
-            trials=report_trials, seed=None if report_trials is None else seed,
-            outcome_counts=tuple(sorted(outcomes.items())),
-            exceptional_faults=tuple(exc),
-            evaluated=evaluated,
-        )
-
     if mode == "exhaustive":
-        total = sum(math.comb(V, k) for k in range(size_bound + 1))
-        if total > budget:
+        checked = sum(math.comb(V, k) for k in range(size_bound + 1))
+        if checked > budget:
             raise BudgetExceeded(
-                f"exhaustive census of {total} subsets exceeds budget {budget}"
+                f"exhaustive census of {checked} subsets exceeds budget {budget}"
             )
         if isinstance(allowed, CutStructureRule) and CUT_RULES.get(allowed.key) is allowed:
-            state["translations"] = translations = left_translations(G)
+            translations = left_translations(G)
         pinned = translations is not None
         tasks = [t for k in range(size_bound + 1) for t in scan_tasks(V, k, pinned)]
-        with TaskRunner(jobs, state) as runner:
-            results = runner.map(_census_worker, tasks)
-        evaluated = sum(math.comb(V - start, k - len(prefix)) for k, prefix, start in tasks)
-        return merge(results, total, evaluated, "exhaustive")
-    if mode != "sampled":
+        faults, report_trials = level_faults, None
+    elif mode == "sampled":
+        base, rem = divmod(trials, SAMPLE_CHUNKS)
+        per_chunk = [base + (chunk < rem) for chunk in range(SAMPLE_CHUNKS)]
+        tasks = [(size_bound, seed, chunk, t) for chunk, t in enumerate(per_chunk) if t]
+        checked, faults, report_trials = trials, _sampled_faults, trials
+    else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    base, rem = divmod(trials, SAMPLE_CHUNKS)
-    per_chunk = [base + (chunk < rem) for chunk in range(SAMPLE_CHUNKS)]
-    tasks = [(chunk, t) for chunk, t in enumerate(per_chunk) if t]
-    with TaskRunner(jobs, state) as runner:
-        results = runner.map(_sampled_census_worker, tasks)
-    return merge(results, trials, trials, "sampled", report_trials=trials)
+    violations, outcome_counts, exc, evaluated = run_census(
+        G, rule_fn, exceptional, translations, faults, tasks, jobs
+    )
+    return VerificationReport(
+        lemma_id, G.family, G.n, mode, checked,
+        tuple(_violation_payload(G, components(G, f)) for f in violations),
+        trials=report_trials, seed=None if report_trials is None else seed,
+        outcome_counts=outcome_counts, exceptional_faults=exc, evaluated=evaluated,
+    )
 
 
 # ---------------------------------------------------------------------------

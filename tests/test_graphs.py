@@ -6,20 +6,15 @@ import pytest
 
 from kappalab.graphs import (
     BitGraph,
-    EdgeGenerator,
-    EdgeLocality,
     build_ag,
     build_splitstar,
-    classify_edge,
-    decompose,
     external_edge_count,
     mask_of,
     out_neighbors,
-    parity_split,
     to_dimacs,
     to_json_dict,
 )
-from kappalab.perms import Perm, parity, Parity
+from kappalab.perms import Perm, exchange, parity, Parity, rot_minus, rot_plus
 
 from .oracles import oracle_cayley_graph
 
@@ -38,6 +33,22 @@ def bfs_distances(G, source):
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def last_symbol_parts(G):
+    """The vertices of G by last symbol, 1..n."""
+    return {i: [v for v in range(G.vertex_count) if G.last_symbol(v) == i]
+            for i in range(1, G.n + 1)}
+
+
+def parity_halves(G):
+    """The even and the odd vertices of G."""
+    even = [v for v in range(G.vertex_count) if parity(G.label(v)) is Parity.EVEN]
+    return even, sorted(set(range(G.vertex_count)) - set(even))
+
+
+def exchange_id(G, v):
+    return G.vertex_id(exchange(G.label(v)))
 
 
 class TestBuildAg:
@@ -152,53 +163,49 @@ class TestBuildSplitstar:
 
 
 class TestClassifyEdge:
+    """Edges by generator and by last-symbol locality."""
+
     def test_two_exchange_matching(self, s4):
         u = s4.vertex_id(Perm.from_text("1234"))
         v = s4.vertex_id(Perm.from_text("2134"))
-        kind = classify_edge(s4, u, v)
-        assert kind.generator is EdgeGenerator.TWO_EXCHANGE
-        assert kind.matching
+        assert s4.has_edge(u, v)
+        assert exchange_id(s4, u) == v
+        assert parity(s4.label(u)) is not parity(s4.label(v))
 
     def test_internal_rotation(self, ag4):
         u = ag4.vertex_id(Perm.from_text("1234"))
         v = ag4.vertex_id(Perm.from_text("2314"))
-        kind = classify_edge(ag4, u, v)
-        assert kind.generator is EdgeGenerator.THREE_ROTATION
-        assert kind.locality is EdgeLocality.INTERNAL
-        assert not kind.matching
+        assert ag4.has_edge(u, v)
+        assert ag4.label(v) == rot_minus(ag4.label(u), 3)
+        assert ag4.last_symbol(u) == ag4.last_symbol(v)
 
     def test_external_edge_found_in_adjacency(self, ag4):
-        # derived from the built graph: any edge whose endpoints end differently
+        # derived from the built graph: the edges whose endpoints end
+        # differently are exactly the g_n+ / g_n- rotations
         u = ag4.vertex_id(Perm.from_text("1234"))
         externals = [v for v in ag4.neighbors[u] if ag4.last_symbol(v) != 4]
-        assert externals
-        for v in externals:
-            assert classify_edge(ag4, u, v).locality is EdgeLocality.EXTERNAL
-
-    def test_rejects_non_edge(self, ag4):
-        u = ag4.vertex_id(Perm.from_text("1234"))
-        v = ag4.vertex_id(Perm.from_text("4321"))
-        assert not ag4.has_edge(u, v)
-        with pytest.raises(ValueError):
-            classify_edge(ag4, u, v)
+        p = ag4.label(u)
+        assert sorted(externals) == sorted(ag4.vertex_id(rot(p, 4)) for rot in (rot_plus, rot_minus))
 
     def test_ag_edges_never_two_exchange(self, ag4):
         for u, v in ag4.edges():
-            assert classify_edge(ag4, u, v).generator is EdgeGenerator.THREE_ROTATION
+            assert exchange(ag4.label(u)) != ag4.label(v)
 
 
 class TestDecompose:
+    """The last-symbol parts of AG_n and S_n^2, copies of AG_{n-1} and S_{n-1}^2."""
+
     def test_ag4_parts(self, ag4):
-        parts = decompose(ag4).parts
+        parts = last_symbol_parts(ag4)
         assert sorted(parts) == [1, 2, 3, 4]
         assert all(len(vs) == 3 for vs in parts.values())
 
     def test_s4_parts(self, s4):
-        parts = decompose(s4).parts
+        parts = last_symbol_parts(s4)
         assert all(len(vs) == 6 for vs in parts.values())
 
     def test_parts_partition_vertices(self, ag5):
-        parts = decompose(ag5).parts
+        parts = last_symbol_parts(ag5)
         seen = sorted(v for vs in parts.values() for v in vs)
         assert seen == list(range(ag5.vertex_count))
 
@@ -208,7 +215,7 @@ class TestDecompose:
         # the symbols 1 and 2 when n - i is odd
         G = build_ag(n)
         H = build_ag(n - 1)
-        for i, part in decompose(G).parts.items():
+        for i, part in last_symbol_parts(G).items():
             def project(v):
                 prefix = G.label(v).symbols[:-1]
                 ordered = sorted(prefix)
@@ -230,7 +237,7 @@ class TestDecompose:
 
     def test_splitstar_part_isomorphic_to_smaller_splitstar(self, s4):
         H = build_splitstar(3)
-        for i, part in decompose(s4).parts.items():
+        for i, part in last_symbol_parts(s4).items():
             def project(v):
                 prefix = s4.label(v).symbols[:-1]
                 ordered = sorted(prefix)
@@ -275,50 +282,44 @@ class TestExternalEdgeCount:
 
 
 class TestParitySplit:
+    """The even and odd halves of S_4^2 and the 2-exchange matching between them."""
+
     def test_halves_and_matching(self, s4):
-        split = parity_split(s4)
-        assert len(split.even) == 12
-        assert len(split.odd) == 12
-        assert len(split.matching_edges) == 12
+        even, odd = parity_halves(s4)
+        assert len(even) == len(odd) == 12
+        matching = {tuple(sorted((v, exchange_id(s4, v)))) for v in even}
+        assert len(matching) == 12
+        assert all(s4.has_edge(u, v) for u, v in matching)
 
     def test_matching_is_perfect(self, s4):
-        split = parity_split(s4)
-        touched = [v for e in split.matching_edges for v in e]
-        assert sorted(touched) == list(range(24))
+        even, odd = parity_halves(s4)
+        assert sorted(exchange_id(s4, v) for v in even) == odd
 
     def test_even_half_internal_edges_match_ag4(self, s4, ag4):
         # non-matching edges inside the even half form a copy of AG_4
-        split = parity_split(s4)
-        even = set(split.even)
+        even = set(parity_halves(s4)[0])
         internal = [
             (u, v) for u, v in s4.edges() if u in even and v in even
         ]
         assert len(internal) == ag4.edge_count == 24
 
     def test_odd_half_internal_edges_match_ag4_count(self, s4):
-        split = parity_split(s4)
-        odd = set(split.odd)
+        odd = set(parity_halves(s4)[1])
         internal = [(u, v) for u, v in s4.edges() if u in odd and v in odd]
         assert len(internal) == 24
 
     def test_two_exchange_map_is_an_isomorphism_between_halves(self, s4):
         # composing with the 2-exchange sends the odd half onto the even half
         # and carries 3-rotation edges to 3-rotation edges
-        from kappalab.perms import exchange
-
-        split = parity_split(s4)
-        odd = set(split.odd)
-        phi = {v: s4.vertex_id(exchange(s4.label(v))) for v in odd}
-        assert sorted(phi.values()) == sorted(split.even)
+        even, odd = parity_halves(s4)
+        odd = set(odd)
+        phi = {v: exchange_id(s4, v) for v in odd}
+        assert sorted(phi.values()) == even
         for u in odd:
             rotation_nbrs = [v for v in s4.neighbors[u] if v in odd]
             mapped = {phi[v] for v in rotation_nbrs}
             even_nbrs = {v for v in s4.neighbors[phi[u]] if v not in odd}
             assert mapped == even_nbrs
-
-    def test_rejects_ag_family(self, ag4):
-        with pytest.raises(ValueError):
-            parity_split(ag4)
 
 
 class TestOutNeighbors:

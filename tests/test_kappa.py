@@ -448,13 +448,13 @@ class TestHyperScan:
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(20261017)
+        graphs = [random_connected_graph(rng, max_vertices=10) for _ in range(6)]
+        graphs.append((5, [(0, 1), (1, 2), (3, 4)]))  # disconnected: the empty fault cuts it
         seen_singleton = seen_exceptional = False
-        for _ in range(6):
-            n, edges = random_connected_graph(rng, max_vertices=10)
+        for n, edges in graphs:
             G = BitGraph.from_edges(n, edges)
             adj = adjacency_dict(G)
-            kappa = vertex_connectivity(G)
-            for k in (kappa, kappa + 1):
+            for k in range(n + 1):
                 disconnecting = singletons = 0
                 exceptional = []
                 for F in itertools.combinations(range(n), k):
@@ -474,6 +474,7 @@ class TestHyperScan:
                 seen_singleton |= singletons > 0
                 seen_exceptional |= bool(exceptional)
         assert seen_singleton and seen_exceptional
+        assert hyper_connectivity_scan(G, 0).exceptional == ((),)
 
 
 class TestScanHits:

@@ -44,13 +44,13 @@ def full_scan(monkeypatch):
 def report_calls(monkeypatch):
     """A one-item list counting the census's ``component_report`` calls."""
     calls = [0]
-    report = lemmas.component_report
+    report = kappa.component_report
 
     def counted(*args):
         calls[0] += 1
         return report(*args)
 
-    monkeypatch.setattr(lemmas, "component_report", counted)
+    monkeypatch.setattr(kappa, "component_report", counted)
     return calls
 
 
@@ -270,5 +270,5 @@ class TestCensus:
 def _outcomes(G, rule, reports):
     """The (signature, verdict, exceptional flag) of each report under ``rule``."""
     for report in reports:
-        yield (lemmas._signature(report), rule.allowed(G, report, len(report.fault)),
+        yield (kappa._signature(report), rule.allowed(G, report, len(report.fault)),
                rule.exceptional is not None and rule.exceptional(report))
