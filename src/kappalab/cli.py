@@ -69,6 +69,13 @@ H_EXTRA_REFERENCE = {
 LEMMA_FAMILY = {"basic": FAMILY_AG, "neighbor-bounds": FAMILY_AG, "claims": FAMILY_AG,
                 "remark": FAMILY_AG, "splitstar-bounds": FAMILY_SPLIT_STAR}
 
+# the lemma-specific verify options with their defaults, and the ones each lemma reads
+VERIFY_DEFAULTS = dict(set_size=None, bound=None, rule=None, mode="exhaustive",
+                       trials=1_000_000, seed=0)
+LEMMA_OPTIONS = {"neighbor-bounds": ("set_size", "trials", "seed"),
+                 "splitstar-bounds": ("set_size", "trials", "seed"),
+                 "cut-structure": ("bound", "rule", "mode", "trials", "seed")}
+
 
 def _default_budget() -> int:
     env = os.environ.get("KAPPALAB_BUDGET")
@@ -113,9 +120,12 @@ def cmd_gen(args) -> int:
 def cmd_kappa(args) -> int:
     if args.witness and args.k_max is not None:
         raise ValueError("--k-max applies to the exhaustive tier only, not to --witness")
+    if not args.witness and args.B is not None:
+        raise ValueError("--B applies to --witness only, not to the exhaustive tier")
     G = build_family(args.family, args.n)
     if args.witness:
-        result = kappa_ell_witness_search(G, args.ell, args.B, budget=args.budget)
+        B = 1 if args.B is None else args.B
+        result = kappa_ell_witness_search(G, args.ell, B, budget=args.budget)
     else:
         result = kappa_ell_exhaustive(
             G, args.ell, k_max=args.k_max, budget=args.budget, jobs=args.jobs
@@ -154,16 +164,8 @@ def _run_verifier(args):
         if not rule.covers(args.family, args.n, args.bound):
             raise ValueError(f"rule {rule.key} does not cover {args.family} n={args.n} "
                              f"bound={args.bound}")
-        return verify_cut_structure(
-            G,
-            args.bound,
-            rule,
-            mode=args.mode,
-            trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            budget=args.budget,
-        )
+        return verify_cut_structure(G, args.bound, rule.key, mode=args.mode, trials=args.trials,
+                                    seed=args.seed, jobs=args.jobs, budget=args.budget)
     raise ValueError(f"unknown lemma id {args.lemma!r}")
 
 
@@ -171,6 +173,11 @@ def cmd_verify(args) -> int:
     family = LEMMA_FAMILY.get(args.lemma, args.family)
     if args.family != family:
         raise ValueError(f"{args.lemma} applies to --family {family} only, got {args.family}")
+    for option, default in VERIFY_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif option not in LEMMA_OPTIONS.get(args.lemma, ()):
+            raise ValueError(f"{args.lemma} does not read --{option.replace('_', '-')}")
     if args.lemma == "cut-structure" and args.bound is None:
         raise ValueError("cut-structure requires --bound")
     if args.lemma in ("neighbor-bounds", "splitstar-bounds") and args.set_size is None:
@@ -282,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     tier = p_kappa.add_mutually_exclusive_group()
     tier.add_argument("--exhaustive", action="store_true", default=True)
     tier.add_argument("--witness", action="store_true", default=False)
-    p_kappa.add_argument("--B", type=int, default=1, help="witness part size bound; the "
-                         "search is exhaustive over families, its cost steep in B")
+    p_kappa.add_argument("--B", type=int, help="witness part size bound (default 1); "
+                         "the search is exhaustive over families, its cost steep in B")
     p_kappa.add_argument("--k-max", type=int, default=None)
     p_kappa.set_defaults(func=cmd_kappa)
 
@@ -295,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["basic", "neighbor-bounds", "claims", "cut-structure",
                  "splitstar-bounds", "remark"],
     )
-    p_verify.add_argument("--set-size", type=int, default=None)
-    p_verify.add_argument("--bound", type=int, default=None)
-    p_verify.add_argument("--rule", choices=sorted(CUT_RULES), default=None)
-    p_verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p_verify.add_argument("--trials", type=int, default=1_000_000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--set-size", type=int)
+    p_verify.add_argument("--bound", type=int)
+    p_verify.add_argument("--rule", choices=sorted(CUT_RULES))
+    p_verify.add_argument("--mode", choices=["exhaustive", "sampled"])
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--seed", type=int)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="reproduce the kappa_ell table as CSV")

@@ -314,17 +314,17 @@ def _signature(report: ComponentReport) -> str:
 def _census(task):
     """Examine the disconnecting faults of one census task against the rule.
 
-    ``faults(task)`` gives the task's lane batches, fault size and fault
-    count. Returns the violating faults, the outcome tally, the exceptional
-    faults and the fault count; only the faults kept (or read by the rule)
-    are listed as ids. A pinned census (``translations`` set) examines only
-    the least translate through vertex 0 of each hit and tallies it by its
-    orbit size (level 0, the empty fault, cuts none of these connected graphs).
+    ``faults(task)`` gives the task's lane batches and fault count. Returns
+    the violating faults, the outcome tally, the exceptional faults and the
+    fault count; only the faults kept (or read by the rule) are listed as ids.
+    A pinned census (``translations`` set) examines only the least translate
+    through vertex 0 of each hit and tallies it by its orbit size (level 0,
+    the empty fault, cuts none of these connected graphs).
     """
     state = worker_state()
     G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
     translations = state["translations"]
-    batches, fsize, tested = state["faults"](task)
+    batches, tested = state["faults"](task)
     violations: list[tuple[int, ...]] = []
     outcomes: Counter[str] = Counter()
     exc_faults: list[tuple[int, ...]] = []
@@ -334,7 +334,7 @@ def _census(task):
             continue
         report = component_report(G.neighbors, fm, component_masks(G.adj_masks, G.full_mask ^ fm))
         outcomes[_signature(report)] += weight
-        if not rule(G, report, fsize):
+        if not rule(G, report):
             violations.append(report.fault)
         elif exceptional is not None and exceptional(report):
             exc_faults.append(report.fault)
@@ -342,20 +342,20 @@ def _census(task):
 
 
 def level_faults(task):
-    """The lane batches, fault size and fault count of the level task ``(k, prefix, start)``."""
+    """The lane batches and fault count of the level task ``(k, prefix, start)``."""
     k, prefix, start = task
     V = worker_state()["graph"].vertex_count
-    return lex_batches(V, *task), k, math.comb(V - start, k - len(prefix))
+    return lex_batches(V, *task), math.comb(V - start, k - len(prefix))
 
 
 def run_census(G: BitGraph, rule, exceptional, translations, faults, tasks, jobs: int):
     """The census of ``tasks``, each read by ``faults`` (as :func:`level_faults`).
 
-    ``rule(G, report, fault_size)`` says whether a disconnecting fault is
-    allowed and ``exceptional(report)`` (or None) whether an allowed one is
-    listed. Returns ``(violations, outcome_counts, exceptional, evaluated)``:
-    the fault lists in task order, or expanded to orbits and sorted by
-    (size, ids) when ``translations`` is set; the signature tally as sorted
+    ``rule(G, report)`` says whether a disconnecting fault is allowed and
+    ``exceptional(report)`` (or None) whether an allowed one is listed.
+    Returns ``(violations, outcome_counts, exceptional, evaluated)``: the
+    fault lists in task order, or expanded to orbits and sorted by (size, ids)
+    when ``translations`` is set; the signature tally as sorted
     ``(signature, count)`` pairs; and the number of faults tested.
     """
     state = {"graph": G, "rule": rule, "exceptional": exceptional,
@@ -499,23 +499,23 @@ def kappa_ell_witness_search(
         raise ValueError("B must be >= 1")
     adj = G.adj_masks
     full = G.full_mask
-    best: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None  # (size, fault)
     explored = 0  # complete witness families visited
-    # depth-first over partial families: (parts, union, nbhd, next parts), where
-    # nbhd ORs the adjacency masks of the union, so N(union) = nbhd & ~union
-    stack = [([], 0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
+    # depth-first over partial families: (part count, union, nbhd, next parts),
+    # where nbhd ORs the adjacency masks of the union, so N(union) = nbhd & ~union
+    stack = [(0, 0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
     while stack:
-        parts, union, nbhd, nexts = stack[-1]
+        depth, union, nbhd, nexts = stack[-1]
         step = next(nexts, None)
         if step is None:
             stack.pop()
             continue
         pmask, a = step
-        parts, union = parts + [pmask], union | pmask
+        depth, union = depth + 1, union | pmask
         for v in ids_of(pmask):
             nbhd |= adj[v]
-        if len(parts) < ell - 1:
-            stack.append((parts, union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
+        if depth < ell - 1:
+            stack.append((depth, union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
             continue
         explored += 1
         if explored > budget:
@@ -527,11 +527,11 @@ def kappa_ell_witness_search(
         if best is not None and size > best[0]:
             continue  # a larger fault never has the smaller (size, ids) key
         fault = ids_of(fault_mask)
-        if best is None or (size, fault) < best[:2]:
-            best = (size, fault, tuple(ids_of(p) for p in parts))
+        if best is None or (size, fault) < best:
+            best = (size, fault)
     if best is None:
         raise ValueError(f"no witness family with {ell - 1} parts of size <= {B}")
-    value, fault, parts = best
+    value, fault = best
     witness = verify_cut(G, fault, ell)
     assert isinstance(witness, CutWitness)
     return KappaResult(
@@ -661,7 +661,7 @@ class HyperScanReport:
         }
 
 
-def _allow_every_cut(G, report, fsize) -> bool:
+def _allow_every_cut(G, report) -> bool:
     return True
 
 

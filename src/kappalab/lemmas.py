@@ -44,6 +44,7 @@ from .graphs import (
 from .kappa import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    kappa_formula,
     level_faults,
     mask_batches,
     remark_independent_set,
@@ -76,7 +77,7 @@ class VerificationReport:
     lemma_id: str
     family: str
     n: int
-    mode: str  # "exhaustive" | "sampled" | "skipped"
+    mode: str  # "exhaustive" | "sampled"
     instances_checked: int
     violations: tuple[dict, ...]
     trials: int | None = None
@@ -88,10 +89,6 @@ class VerificationReport:
     outcome_counts: tuple[tuple[str, int], ...] = ()
     exceptional_faults: tuple[tuple[int, ...], ...] = ()
     evaluated: int | None = None  # subsets a census tested; not in JSON
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
 
     @property
     def verdict(self) -> str:
@@ -246,11 +243,12 @@ def _verify_independent_bounds(
     lemma_id: str,
     G: CayleyGraph,
     set_size: int,
-    bound: int,
     exhaustive: bool,
     trials: int,
     seed: int,
 ) -> VerificationReport:
+    """Checks |N(S)| >= kappa_{s+1}, the paper's formula, over independent s-sets S."""
+    bound = kappa_formula(G.family, set_size + 1, G.n)
     if exhaustive:
         sets = independent_sets_containing_zero(G, set_size)
     else:
@@ -296,9 +294,8 @@ def verify_neighbor_bounds_ag(
     if set_size not in (3, 4):
         raise ValueError("set_size must be 3 or 4")
     G = _resolve_graph(FAMILY_AG, n, graph)
-    bound = 6 * n - 16 if set_size == 3 else 8 * n - 24
     return _verify_independent_bounds(
-        f"neighbor-bounds-{set_size}", G, set_size, bound, n <= 5, trials, seed
+        f"neighbor-bounds-{set_size}", G, set_size, n <= 5, trials, seed
     )
 
 
@@ -318,9 +315,8 @@ def verify_splitstar_neighbor_bounds(
     if set_size not in (2, 3, 4):
         raise ValueError("set_size must be 2, 3 or 4")
     G = _resolve_graph(FAMILY_SPLIT_STAR, n, graph)
-    bound = {2: 4 * n - 8, 3: 6 * n - 14, 4: 8 * n - 20}[set_size]
     return _verify_independent_bounds(
-        f"splitstar-bounds-{set_size}", G, set_size, bound, n == 4, trials, seed
+        f"splitstar-bounds-{set_size}", G, set_size, n == 4, trials, seed
     )
 
 
@@ -435,7 +431,7 @@ class CutStructureRule:
     family: str
     bound: Callable[[int], int]
     min_n: int
-    allowed: Callable[[CayleyGraph, ComponentReport, int], bool]
+    allowed: Callable[[CayleyGraph, ComponentReport], bool]
     # marks outcomes worth listing individually (the n=4 4-cycle clauses)
     exceptional: Callable[[ComponentReport], bool] | None = None
 
@@ -453,10 +449,11 @@ def _two_with_small(report, allowed_shapes) -> bool:
     return report.count == 2 and any(s in allowed_shapes for s in report.shapes)
 
 
-def _rule_ag_4n11(G, report, fsize) -> bool:
+def _rule_ag_4n11(G, report) -> bool:
     n = G.n
     if report.count != 2:
         return False
+    fsize = report.fault_mask.bit_count()
     if Shape.SINGLETON in report.shapes:
         return True
     if Shape.EDGE in report.shapes and fsize == 4 * n - 11:
@@ -469,19 +466,19 @@ def _rule_ag_4n11(G, report, fsize) -> bool:
     return False
 
 
-def _rule_ag_6n20(G, report, fsize) -> bool:
+def _rule_ag_6n20(G, report) -> bool:
     if _two_with_small(report, (Shape.SINGLETON, Shape.EDGE)):
         return True
     return report.count == 3 and _shapes_small(report) == [Shape.SINGLETON] * 2
 
 
-def _rule_ag_6n19(G, report, fsize) -> bool:
+def _rule_ag_6n19(G, report) -> bool:
     if _two_with_small(report, (Shape.SINGLETON, Shape.EDGE, Shape.TWO_PATH)):
         return True
     return report.count == 3 and _shapes_small(report) == [Shape.SINGLETON] * 2
 
 
-def _rule_ag_8n29(G, report, fsize) -> bool:
+def _rule_ag_8n29(G, report) -> bool:
     if _two_with_small(
         report, (Shape.SINGLETON, Shape.EDGE, Shape.TWO_PATH, Shape.THREE_CYCLE)
     ):
@@ -494,8 +491,8 @@ def _rule_ag_8n29(G, report, fsize) -> bool:
     return False
 
 
-def _rule_s2_4n8(G, report, fsize) -> bool:
-    n = G.n
+def _rule_s2_4n8(G, report) -> bool:
+    n, fsize = G.n, report.fault_mask.bit_count()
     if report.count == 2:
         if Shape.SINGLETON in report.shapes:
             return True
@@ -571,11 +568,11 @@ def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
 
 
 def _sampled_faults(task):
-    """The lane batches, fault size and fault count of the sampled task
+    """The lane batches and fault count of the sampled task
     ``(size, seed, chunk, trials)``, read by :func:`~kappalab.kappa.run_census`."""
     size, seed, chunk, trials = task
     V = worker_state()["graph"].vertex_count
-    return mask_batches(V, _sampled_fault_masks(seed, chunk, trials, V, size)), size, trials
+    return mask_batches(V, _sampled_fault_masks(seed, chunk, trials, V, size)), trials
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:
@@ -591,53 +588,44 @@ def _violation_payload(G, report: ComponentReport) -> dict:
 def verify_cut_structure(
     G: CayleyGraph,
     size_bound: int,
-    allowed: Callable[[CayleyGraph, ComponentReport, int], bool] | CutStructureRule | str,
+    rule: str,
     mode: str = "exhaustive",
     trials: int = 1_000_000,
     seed: int = 0,
-    lemma_id: str | None = None,
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Census of component structures for all (or sampled) faults of bounded size.
 
-    Exhaustive mode enumerates every fault of size 0..size_bound; sampled mode
-    draws ``trials`` faults of size exactly ``size_bound``. Every fault whose
-    removal disconnects the graph must satisfy ``allowed``; all others are
-    skipped. ``allowed`` may be a rule key, a rule object, or a predicate
-    ``(graph, report, fault_size) -> bool``.
+    ``rule`` is a :data:`CUT_RULES` key, which the report carries as its
+    ``lemma_id``; anything else raises ``ValueError``. Exhaustive mode
+    enumerates every fault of size 0..size_bound; sampled mode draws
+    ``trials`` faults of size exactly ``size_bound``. Every fault whose
+    removal disconnects the graph must satisfy the rule; all others are
+    skipped.
 
-    An exhaustive census of a registered rule on AG_n or S_n^2 examines one
-    fault per orbit, the least translate through vertex 0 (every outcome is the
-    same on all translates), and tallies it by its orbit size; fault lists are
-    expanded to orbits, sorted by (size, ids) as the full scan lists them.
-    ``instances_checked`` still counts every fault covered. Custom predicates,
-    edited graphs and sampled runs examine every fault they cover.
+    An exhaustive census on AG_n or S_n^2 examines one fault per orbit, the
+    least translate through vertex 0 (every outcome is the same on all
+    translates), and tallies it by its orbit size; fault lists are expanded
+    to orbits, sorted by (size, ids) as the full scan lists them.
+    ``instances_checked`` still counts every fault covered. Edited graphs and
+    sampled runs examine every fault they cover.
     """
-    exceptional = None
-    if isinstance(allowed, str):
-        allowed = CUT_RULES[allowed]
-    if isinstance(allowed, CutStructureRule):
-        rule_fn = allowed.allowed
-        exceptional = allowed.exceptional
-        lemma_id = lemma_id or allowed.key
-    else:
-        rule_fn = allowed
-        lemma_id = lemma_id or "cut-structure"
+    if not isinstance(rule, str) or rule not in CUT_RULES:
+        raise ValueError(f"unknown cut-structure rule {rule!r}")
+    cut_rule = CUT_RULES[rule]
     V = G.vertex_count
     if not 0 <= size_bound <= V:
         raise ValueError(f"fault size bound must be between 0 and {V}, got {size_bound}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    translations = None
     if mode == "exhaustive":
         checked = sum(math.comb(V, k) for k in range(size_bound + 1))
         if checked > budget:
             raise BudgetExceeded(
                 f"exhaustive census of {checked} subsets exceeds budget {budget}"
             )
-        if isinstance(allowed, CutStructureRule) and CUT_RULES.get(allowed.key) is allowed:
-            translations = left_translations(G)
+        translations = left_translations(G)
         pinned = translations is not None
         tasks = [t for k in range(size_bound + 1) for t in scan_tasks(V, k, pinned)]
         faults, report_trials = level_faults, None
@@ -645,14 +633,14 @@ def verify_cut_structure(
         base, rem = divmod(trials, SAMPLE_CHUNKS)
         per_chunk = [base + (chunk < rem) for chunk in range(SAMPLE_CHUNKS)]
         tasks = [(size_bound, seed, chunk, t) for chunk, t in enumerate(per_chunk) if t]
-        checked, faults, report_trials = trials, _sampled_faults, trials
+        checked, faults, report_trials, translations = trials, _sampled_faults, trials, None
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     violations, outcome_counts, exc, evaluated = run_census(
-        G, rule_fn, exceptional, translations, faults, tasks, jobs
+        G, cut_rule.allowed, cut_rule.exceptional, translations, faults, tasks, jobs
     )
     return VerificationReport(
-        lemma_id, G.family, G.n, mode, checked,
+        rule, G.family, G.n, mode, checked,
         tuple(_violation_payload(G, components(G, f)) for f in violations),
         trials=report_trials, seed=None if report_trials is None else seed,
         outcome_counts=outcome_counts, exceptional_faults=exc, evaluated=evaluated,
@@ -669,7 +657,8 @@ def verify_remark_constructions(
     """Independence and exact neighborhood sizes of the double-rotation sets.
 
     For every valid index pair: the 3-set {e, (e gi+)gj+, (e gj+)gi+} has
-    |N(S)| = 6n-16 and the 4-set with ((e gj+)gi-)gj+ added has 8n-24.
+    |N(S)| = kappa_4 = 6n-16 and the 4-set with ((e gj+)gi-)gj+ added has
+    kappa_5 = 8n-24.
     """
     if not 4 <= n <= 8:
         raise ValueError("verify_remark_constructions supports 4 <= n <= 8")
@@ -678,11 +667,12 @@ def verify_remark_constructions(
     checked = 0
     minima = {3: None, 4: None}
 
-    def consider(size, i, j, expected):
+    def consider(size, i, j):
         nonlocal checked
         checked += 1
         S = remark_independent_set(G, size, i, j)
         got = len(neighborhood(G, S))
+        expected = kappa_formula(FAMILY_AG, size + 1, n)
         if minima[size] is None or got < minima[size]:
             minima[size] = got
         if not is_independent(G, S):
@@ -698,8 +688,8 @@ def verify_remark_constructions(
             if i == j:
                 continue
             if i < j:
-                consider(3, i, j, 6 * n - 16)
-            consider(4, i, j, 8 * n - 24)
+                consider(3, i, j)
+            consider(4, i, j)
 
     return VerificationReport(
         "remark", FAMILY_AG, n, "exhaustive", checked, tuple(violations),

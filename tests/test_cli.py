@@ -9,6 +9,7 @@ import pytest
 from kappalab.cli import main
 
 TABLE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "table_reference.csv"
+UNRECOGNIZED = "unrecognized arguments"  # argparse: the subcommand has no such option
 
 
 def run_cli(capsys, *argv):
@@ -448,20 +449,47 @@ class TestConfigResolution:
         assert captured.out == ""
         assert captured.err == f"kappalab: jobs must be >= 0 (0 = auto), got {argv[-1]}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ("gen", "--family", "ag", "--n", "4", "--jobs", "3"),
-        ("gen", "--family", "ag", "--n", "4", "--budget", "7"),
-        ("gen", "--family", "ag", "--n", "4", "--seed", "5"),
-        ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--seed", "5"),
-        ("table", "--n-max", "4", "--seed", "5"),
-    ], ids=["gen-jobs", "gen-budget", "gen-seed", "kappa-seed", "table-seed"])
-    def test_unread_option_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
+    @pytest.mark.parametrize("argv,message", [
+        (("gen", "--family", "ag", "--n", "4", "--jobs", "3"), UNRECOGNIZED),
+        (("gen", "--family", "ag", "--n", "4", "--budget", "7"), UNRECOGNIZED),
+        (("gen", "--family", "ag", "--n", "4", "--seed", "5"), UNRECOGNIZED),
+        (("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--seed", "5"), UNRECOGNIZED),
+        (("table", "--n-max", "4", "--seed", "5"), UNRECOGNIZED),
+        (("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--B", "2"),
+         "kappalab: --B applies to --witness only, not to the exhaustive tier\n"),
+        (("verify", "--lemma", "neighbor-bounds", "--family", "ag", "--n", "4",
+          "--set-size", "3", "--mode", "sampled"),
+         "kappalab: neighbor-bounds does not read --mode\n"),
+        (("verify", "--lemma", "basic", "--family", "ag", "--n", "4", "--bound", "7",
+          "--rule", "ag-6n-20", "--set-size", "3"),
+         "kappalab: basic does not read --set-size\n"),
+        (("verify", "--lemma", "basic", "--family", "ag", "--n", "4", "--rule", "ag-6n-20"),
+         "kappalab: basic does not read --rule\n"),
+        (("verify", "--lemma", "claims", "--family", "ag", "--n", "4", "--trials", "5"),
+         "kappalab: claims does not read --trials\n"),
+        (("verify", "--lemma", "remark", "--family", "ag", "--n", "4", "--seed", "1"),
+         "kappalab: remark does not read --seed\n"),
+        (("verify", "--lemma", "splitstar-bounds", "--family", "s2", "--n", "4",
+          "--set-size", "2", "--bound", "8"),
+         "kappalab: splitstar-bounds does not read --bound\n"),
+        (("verify", "--lemma", "cut-structure", "--family", "ag", "--n", "4",
+          "--bound", "5", "--set-size", "3"),
+         "kappalab: cut-structure does not read --set-size\n"),
+    ], ids=["gen-jobs", "gen-budget", "gen-seed", "kappa-seed", "table-seed", "kappa-B",
+            "neighbor-bounds-mode", "basic-set-size", "basic-rule", "claims-trials",
+            "remark-seed", "splitstar-bounds-bound", "cut-structure-set-size"])
+    def test_unread_option_is_usage_error(self, capsys, argv, message):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the option itself
+            code = exc.code
         captured = capsys.readouterr()
-        assert exc.value.code == 2
+        assert code == 2
         assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+        if message == UNRECOGNIZED:
+            assert message in captured.err
+        else:
+            assert captured.err == message
         assert "Traceback" not in captured.err
 
     def test_gen_ignores_env_budget(self, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from kappalab import lemmas
 from kappalab.connectivity import common_neighbors, is_independent, mask_of
 from kappalab.graphs import CayleyGraph
 from kappalab.lemmas import (
+    CUT_RULES,
     independent_sets_containing_zero,
     rule_for,
     sample_subset,
@@ -240,20 +241,17 @@ class TestCutStructure:
         with pytest.raises(ValueError):
             verify_cut_structure(s4, 8, "s2-4n-8", budget=100)
 
-    def test_rule_selection(self):
+    def test_rule_selection(self, ag4):
         assert rule_for("ag", 4, 5).key == "ag-4n-11"
         assert rule_for("ag", 5, 10).key == "ag-6n-20"
         assert rule_for("ag", 5, 11).key == "ag-6n-19"
         assert rule_for("s2", 5, 15).key == "s2-8n-25"
         with pytest.raises(ValueError):
             rule_for("ag", 4, 20)
-
-    def test_custom_predicate(self, ag4):
-        report = verify_cut_structure(
-            ag4, 4, lambda G, rep, fsize: rep.count == 2, lemma_id="two-only"
-        )
-        assert report.lemma_id == "two-only"
-        assert report.verdict == "consistent"
+        # a census takes a registered key only: no predicate, rule object or other key
+        for rule in (lambda G, rep: True, CUT_RULES["ag-4n-11"], "ag-4n-12"):
+            with pytest.raises(ValueError, match="unknown cut-structure rule"):
+                verify_cut_structure(ag4, 4, rule)
 
 
 class TestRemark:
