@@ -62,9 +62,8 @@ from .lemmas import (
     verify_basic_ag,
     verify_claims_123,
     verify_cut_structure,
-    verify_neighbor_bounds_ag,
+    verify_neighbor_bounds,
     verify_remark_constructions,
-    verify_splitstar_neighbor_bounds,
 )
 
 __version__ = "0.1.0"

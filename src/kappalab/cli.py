@@ -35,15 +35,15 @@ from .kappa import (
     kappa_formula_text,
 )
 from .lemmas import (
+    BOUNDS_EXHAUSTIVE_MAX_N,
     CUT_RULES,
     BudgetExceeded,
     rule_for,
     verify_basic_ag,
     verify_claims_123,
     verify_cut_structure,
-    verify_neighbor_bounds_ag,
+    verify_neighbor_bounds,
     verify_remark_constructions,
-    verify_splitstar_neighbor_bounds,
 )
 
 SCHEMA_VERSION = 1
@@ -65,16 +65,38 @@ H_EXTRA_REFERENCE = {
     (FAMILY_SPLIT_STAR, 3): (8, 24, 4),
 }
 
-# the one family each family-specific lemma verifier is defined on
-LEMMA_FAMILY = {"basic": FAMILY_AG, "neighbor-bounds": FAMILY_AG, "claims": FAMILY_AG,
-                "remark": FAMILY_AG, "splitstar-bounds": FAMILY_SPLIT_STAR}
+# the lemma-specific verify options, in the order an unread one is reported;
+# the defaults of those a run may leave out; the two only a sampled run reads
+VERIFY_OPTIONS = ("set_size", "bound", "rule", "mode", "trials", "seed")
+VERIFY_DEFAULTS = dict(rule=None, mode="exhaustive", trials=1_000_000, seed=0)
+SAMPLING = ("trials", "seed")
 
-# the lemma-specific verify options with their defaults, and the ones each lemma reads
-VERIFY_DEFAULTS = dict(set_size=None, bound=None, rule=None, mode="exhaustive",
-                       trials=1_000_000, seed=0)
-LEMMA_OPTIONS = {"neighbor-bounds": ("set_size", "trials", "seed"),
-                 "splitstar-bounds": ("set_size", "trials", "seed"),
-                 "cut-structure": ("bound", "rule", "mode", "trials", "seed")}
+
+def _verify_cut_structure(G, bound, rule, mode, jobs, budget, **sampling):
+    rule = CUT_RULES[rule] if rule else rule_for(G.family, G.n, bound)
+    if not rule.covers(G.family, G.n, bound):
+        raise ValueError(f"rule {rule.key} does not cover {G.family} n={G.n} bound={bound}")
+    return verify_cut_structure(G, bound, rule.key, mode=mode, jobs=jobs, budget=budget,
+                                **sampling)
+
+
+def _bounds_sampled(args) -> bool:
+    return args.n > BOUNDS_EXHAUSTIVE_MAX_N[args.family]
+
+
+# lemma id -> (the family it is defined on, None for either; its verifier; the
+# options it reads besides SAMPLING, required unless in VERIFY_DEFAULTS;
+# whether a run samples, None for never)
+LEMMAS = {
+    "basic": (FAMILY_AG, verify_basic_ag, (), None),
+    "neighbor-bounds": (FAMILY_AG, verify_neighbor_bounds, ("set_size",), _bounds_sampled),
+    "claims": (FAMILY_AG, verify_claims_123, (), None),
+    "cut-structure": (None, _verify_cut_structure, ("bound", "rule", "mode", "jobs", "budget"),
+                      lambda args: args.mode == "sampled"),
+    "splitstar-bounds": (FAMILY_SPLIT_STAR, verify_neighbor_bounds, ("set_size",),
+                         _bounds_sampled),
+    "remark": (FAMILY_AG, verify_remark_constructions, (), None),
+}
 
 
 def _default_budget() -> int:
@@ -141,48 +163,23 @@ def cmd_kappa(args) -> int:
     return EXIT_INCONCLUSIVE if result.inconclusive else EXIT_OK
 
 
-def _run_verifier(args):
-    if args.lemma == "basic":
-        return verify_basic_ag(args.n)
-    if args.lemma == "neighbor-bounds":
-        return verify_neighbor_bounds_ag(
-            args.n, args.set_size, trials=args.trials, seed=args.seed
-        )
-    if args.lemma == "claims":
-        return verify_claims_123(args.n)
-    if args.lemma == "splitstar-bounds":
-        return verify_splitstar_neighbor_bounds(
-            args.n, args.set_size, trials=args.trials, seed=args.seed
-        )
-    if args.lemma == "remark":
-        return verify_remark_constructions(args.n)
-    if args.lemma == "cut-structure":
-        G = build_family(args.family, args.n)
-        rule = CUT_RULES[args.rule] if args.rule else rule_for(
-            args.family, args.n, args.bound
-        )
-        if not rule.covers(args.family, args.n, args.bound):
-            raise ValueError(f"rule {rule.key} does not cover {args.family} n={args.n} "
-                             f"bound={args.bound}")
-        return verify_cut_structure(G, args.bound, rule.key, mode=args.mode, trials=args.trials,
-                                    seed=args.seed, jobs=args.jobs, budget=args.budget)
-    raise ValueError(f"unknown lemma id {args.lemma!r}")
-
-
 def cmd_verify(args) -> int:
-    family = LEMMA_FAMILY.get(args.lemma, args.family)
-    if args.family != family:
+    family, verifier, options, sampled = LEMMAS[args.lemma]
+    if family not in (None, args.family):
         raise ValueError(f"{args.lemma} applies to --family {family} only, got {args.family}")
-    for option, default in VERIFY_DEFAULTS.items():
+    if sampled and sampled(args):
+        options += SAMPLING
+    for option in VERIFY_OPTIONS:
+        if getattr(args, option) is not None and option not in options:
+            run = " on an exhaustive run" if sampled and option in SAMPLING else ""
+            raise ValueError(f"{args.lemma} does not read --{option.replace('_', '-')}{run}")
+    for option in options:
         if getattr(args, option) is None:
-            setattr(args, option, default)
-        elif option not in LEMMA_OPTIONS.get(args.lemma, ()):
-            raise ValueError(f"{args.lemma} does not read --{option.replace('_', '-')}")
-    if args.lemma == "cut-structure" and args.bound is None:
-        raise ValueError("cut-structure requires --bound")
-    if args.lemma in ("neighbor-bounds", "splitstar-bounds") and args.set_size is None:
-        raise ValueError(f"{args.lemma} requires --set-size")
-    report = _run_verifier(args)
+            if option not in VERIFY_DEFAULTS:
+                raise ValueError(f"{args.lemma} requires --{option.replace('_', '-')}")
+            setattr(args, option, VERIFY_DEFAULTS[option])
+    G = build_family(args.family, args.n)
+    report = verifier(G, **{option: getattr(args, option) for option in options})
     payload = {"schema": SCHEMA_VERSION, "jobs": args.jobs, **report.to_json_dict()}
     _write_output(_canonical_json(payload), args.output)
     return EXIT_VIOLATION if report.violations else EXIT_OK
@@ -299,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--lemma",
         required=True,
-        choices=["basic", "neighbor-bounds", "claims", "cut-structure",
-                 "splitstar-bounds", "remark"],
+        choices=list(LEMMAS),
     )
     p_verify.add_argument("--set-size", type=int)
     p_verify.add_argument("--bound", type=int)

@@ -3,7 +3,9 @@ results: external-edge counts, common-neighbor caps, neighborhood lower
 bounds over independent sets, the double-rotation neighbor algebra around
 the identity, and the allowed component structures under small vertex cuts.
 
-Every verifier returns a :class:`VerificationReport`; exhaustive runs check
+Every verifier takes the built graph first and reads its family and n from
+it, raising ``ValueError`` on a graph of another family or an n outside its
+range. Each returns a :class:`VerificationReport`; exhaustive runs check
 every instance, sampled runs draw seeded uniform fault sets (Fisher-Yates
 prefix, drawing from the stream exactly as ``random.Random.randrange`` does)
 and are reported as "consistent (sampled)", never as proved.
@@ -36,7 +38,6 @@ from .graphs import (
     FAMILY_AG,
     FAMILY_SPLIT_STAR,
     CayleyGraph,
-    build_family,
     external_edge_count,
     left_translations,
     out_neighbors,
@@ -61,11 +62,11 @@ __all__ = [
     "CutStructureRule",
     "CUT_RULES",
     "rule_for",
+    "BOUNDS_EXHAUSTIVE_MAX_N",
     "verify_basic_ag",
-    "verify_neighbor_bounds_ag",
+    "verify_neighbor_bounds",
     "verify_claims_123",
     "verify_cut_structure",
-    "verify_splitstar_neighbor_bounds",
     "verify_remark_constructions",
     "independent_sets_containing_zero",
     "sample_subset",
@@ -119,17 +120,18 @@ class VerificationReport:
 PIN_NOTE = "independent sets pinned to contain the identity (vertex-transitivity)"
 
 
-def _resolve_graph(family: str, n: int, graph: CayleyGraph | None) -> CayleyGraph:
-    if graph is not None:
-        return graph
-    return build_family(family, n)
+def _check_graph(G: CayleyGraph, family: str, ns: range, verifier: str) -> None:
+    if G.family != family:
+        raise ValueError(f"{verifier} applies to {family} graphs, got {G.family}")
+    if G.n not in ns:
+        raise ValueError(f"{verifier} supports {ns[0]} <= n <= {ns[-1]}, got {G.n}")
 
 
 # ---------------------------------------------------------------------------
 # basic structure of AG_n
 
 
-def verify_basic_ag(n: int, graph: CayleyGraph | None = None) -> VerificationReport:
+def verify_basic_ag(G: CayleyGraph) -> VerificationReport:
     """External-edge counts, out-neighbor spread, and the 2-common-neighbor cap.
 
     Checks, exhaustively: (1) every pair of last-symbol parts is joined by
@@ -137,9 +139,8 @@ def verify_basic_ag(n: int, graph: CayleyGraph | None = None) -> VerificationRep
     lie in distinct parts; (3) nonadjacent vertices share at most two
     neighbors.
     """
-    if not 4 <= n <= 6:
-        raise ValueError("verify_basic_ag supports 4 <= n <= 6")
-    G = _resolve_graph(FAMILY_AG, n, graph)
+    _check_graph(G, FAMILY_AG, range(4, 7), "verify_basic_ag")
+    n = G.n
     violations: list[dict] = []
     checked = 0
     expected = math.factorial(n - 2)
@@ -239,15 +240,30 @@ def _sampled_fault_masks(seed: int, chunk: int, trials: int, V: int, size: int):
     return itertools.islice(_subset_masks(rng, V, size), trials)
 
 
-def _verify_independent_bounds(
-    lemma_id: str,
-    G: CayleyGraph,
-    set_size: int,
-    exhaustive: bool,
-    trials: int,
-    seed: int,
+# per family: the n range, the independent-set sizes and the lemma id prefix
+# of the neighborhood bounds
+NEIGHBOR_BOUNDS = {
+    FAMILY_AG: (range(4, 7), (3, 4), "neighbor-bounds"),
+    FAMILY_SPLIT_STAR: (range(4, 6), (2, 3, 4), "splitstar-bounds"),
+}
+# the largest n whose neighborhood bounds check every set; larger n sample
+BOUNDS_EXHAUSTIVE_MAX_N = {FAMILY_AG: 5, FAMILY_SPLIT_STAR: 4}
+
+
+def verify_neighbor_bounds(
+    G: CayleyGraph, set_size: int, trials: int = 100_000, seed: int = 0
 ) -> VerificationReport:
-    """Checks |N(S)| >= kappa_{s+1}, the paper's formula, over independent s-sets S."""
+    """|N(S)| >= kappa_{s+1}, the paper's formula, over independent s-sets S.
+
+    On AG_n (4 <= n <= 6) the bounds are 6n-16 and 8n-24 for sizes 3 and 4;
+    on S_n^2 (n in {4, 5}) they are 4n-8, 6n-14 and 8n-20 for sizes 2, 3 and
+    4. Exhaustive up to :data:`BOUNDS_EXHAUSTIVE_MAX_N`, sampled above it.
+    """
+    ns, sizes, lemma = NEIGHBOR_BOUNDS[G.family]
+    _check_graph(G, G.family, ns, "verify_neighbor_bounds")
+    if set_size not in sizes:
+        raise ValueError(f"set_size on {G.family} must be one of {sizes}, got {set_size}")
+    exhaustive = G.n <= BOUNDS_EXHAUSTIVE_MAX_N[G.family]
     bound = kappa_formula(G.family, set_size + 1, G.n)
     if exhaustive:
         sets = independent_sets_containing_zero(G, set_size)
@@ -272,51 +288,9 @@ def _verify_independent_bounds(
                  "bound": bound}
             )
     return VerificationReport(
-        lemma_id, G.family, G.n, "exhaustive" if exhaustive else "sampled", checked,
-        tuple(violations), trials=None if exhaustive else trials,
+        f"{lemma}-{set_size}", G.family, G.n, "exhaustive" if exhaustive else "sampled",
+        checked, tuple(violations), trials=None if exhaustive else trials,
         seed=None if exhaustive else seed, min_attained=attained, notes=(PIN_NOTE,),
-    )
-
-
-def verify_neighbor_bounds_ag(
-    n: int,
-    set_size: int,
-    graph: CayleyGraph | None = None,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> VerificationReport:
-    """|N(S)| >= 6n-16 (size 3) resp. 8n-24 (size 4) over independent sets.
-
-    Exhaustive for n <= 5, sampled at n = 6.
-    """
-    if not 4 <= n <= 6:
-        raise ValueError("verify_neighbor_bounds_ag supports 4 <= n <= 6")
-    if set_size not in (3, 4):
-        raise ValueError("set_size must be 3 or 4")
-    G = _resolve_graph(FAMILY_AG, n, graph)
-    return _verify_independent_bounds(
-        f"neighbor-bounds-{set_size}", G, set_size, n <= 5, trials, seed
-    )
-
-
-def verify_splitstar_neighbor_bounds(
-    n: int,
-    set_size: int,
-    graph: CayleyGraph | None = None,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> VerificationReport:
-    """|N(S)| >= 4n-8 / 6n-14 / 8n-20 for independent sets of size 2 / 3 / 4.
-
-    Exhaustive at n = 4, sampled at n = 5.
-    """
-    if n not in (4, 5):
-        raise ValueError("verify_splitstar_neighbor_bounds supports n in {4, 5}")
-    if set_size not in (2, 3, 4):
-        raise ValueError("set_size must be 2, 3 or 4")
-    G = _resolve_graph(FAMILY_SPLIT_STAR, n, graph)
-    return _verify_independent_bounds(
-        f"splitstar-bounds-{set_size}", G, set_size, n == 4, trials, seed
     )
 
 
@@ -324,7 +298,7 @@ def verify_splitstar_neighbor_bounds(
 # the double-rotation neighbor algebra around the identity
 
 
-def verify_claims_123(n: int, graph: CayleyGraph | None = None) -> VerificationReport:
+def verify_claims_123(G: CayleyGraph) -> VerificationReport:
     """Verify the second-neighborhood algebra of the identity in AG_n.
 
     Materializes N+, N-, N++, N+-, N-+, N-- by generator application and
@@ -333,9 +307,8 @@ def verify_claims_123(n: int, graph: CayleyGraph | None = None) -> VerificationR
     classes; independence of N+- and of N-+; and that each vertex of N+- has
     at most one neighbor in N-+ (and vice versa).
     """
-    if not 4 <= n <= 6:
-        raise ValueError("verify_claims_123 supports 4 <= n <= 6")
-    G = _resolve_graph(FAMILY_AG, n, graph)
+    _check_graph(G, FAMILY_AG, range(4, 7), "verify_claims_123")
+    n = G.n
     e = Perm.identity(n)
     idx = G.vertex_id
     violations: list[dict] = []
@@ -598,7 +571,9 @@ def verify_cut_structure(
     """Census of component structures for all (or sampled) faults of bounded size.
 
     ``rule`` is a :data:`CUT_RULES` key, which the report carries as its
-    ``lemma_id``; anything else raises ``ValueError``. Exhaustive mode
+    ``lemma_id``; anything else, or a rule of the other family, raises
+    ``ValueError``. Its n and bound scope is not checked, so a census may run
+    a rule past its bound to find where it fails. Exhaustive mode
     enumerates every fault of size 0..size_bound; sampled mode draws
     ``trials`` faults of size exactly ``size_bound``. Every fault whose
     removal disconnects the graph must satisfy the rule; all others are
@@ -614,6 +589,8 @@ def verify_cut_structure(
     if not isinstance(rule, str) or rule not in CUT_RULES:
         raise ValueError(f"unknown cut-structure rule {rule!r}")
     cut_rule = CUT_RULES[rule]
+    if cut_rule.family != G.family:
+        raise ValueError(f"rule {rule} applies to {cut_rule.family} graphs, got {G.family}")
     V = G.vertex_count
     if not 0 <= size_bound <= V:
         raise ValueError(f"fault size bound must be between 0 and {V}, got {size_bound}")
@@ -651,18 +628,15 @@ def verify_cut_structure(
 # the explicit tight constructions
 
 
-def verify_remark_constructions(
-    n: int, graph: CayleyGraph | None = None
-) -> VerificationReport:
+def verify_remark_constructions(G: CayleyGraph) -> VerificationReport:
     """Independence and exact neighborhood sizes of the double-rotation sets.
 
     For every valid index pair: the 3-set {e, (e gi+)gj+, (e gj+)gi+} has
     |N(S)| = kappa_4 = 6n-16 and the 4-set with ((e gj+)gi-)gj+ added has
     kappa_5 = 8n-24.
     """
-    if not 4 <= n <= 8:
-        raise ValueError("verify_remark_constructions supports 4 <= n <= 8")
-    G = _resolve_graph(FAMILY_AG, n, graph)
+    _check_graph(G, FAMILY_AG, range(4, 9), "verify_remark_constructions")
+    n = G.n
     violations: list[dict] = []
     checked = 0
     minima = {3: None, 4: None}

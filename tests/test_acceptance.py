@@ -28,8 +28,7 @@ from kappalab.kappa import (
 )
 from kappalab.lemmas import (
     verify_cut_structure,
-    verify_neighbor_bounds_ag,
-    verify_splitstar_neighbor_bounds,
+    verify_neighbor_bounds,
 )
 from kappalab.perms import Perm
 
@@ -108,12 +107,12 @@ def test_criterion_04_ag5_hyper_connectivity(ag5):
            f"scanned={report.scanned} disconnecting={report.disconnecting}")
 
 
-def test_criterion_05_ag_neighbor_bound_tightness():
+def test_criterion_05_ag_neighbor_bound_tightness(ag4, ag5):
     start = time.perf_counter()
     minima = (
-        verify_neighbor_bounds_ag(4, 3).min_attained,
-        verify_neighbor_bounds_ag(5, 3).min_attained,
-        verify_neighbor_bounds_ag(5, 4).min_attained,
+        verify_neighbor_bounds(ag4, 3).min_attained,
+        verify_neighbor_bounds(ag5, 3).min_attained,
+        verify_neighbor_bounds(ag5, 4).min_attained,
     )
     elapsed = time.perf_counter() - start
     ok = minima == (8, 14, 16) and elapsed < 120.0
@@ -121,11 +120,9 @@ def test_criterion_05_ag_neighbor_bound_tightness():
            f"minima={minima}")
 
 
-def test_criterion_06_splitstar_neighbor_bounds():
+def test_criterion_06_splitstar_neighbor_bounds(s4):
     start = time.perf_counter()
-    minima = tuple(
-        verify_splitstar_neighbor_bounds(4, size).min_attained for size in (2, 3, 4)
-    )
+    minima = tuple(verify_neighbor_bounds(s4, size).min_attained for size in (2, 3, 4))
     elapsed = time.perf_counter() - start
     ok = minima == (8, 10, 12) and elapsed < 120.0
     record(6, "S4^2 neighbor-bound tightness", elapsed, ok, f"minima={minima}")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -475,9 +476,23 @@ class TestConfigResolution:
         (("verify", "--lemma", "cut-structure", "--family", "ag", "--n", "4",
           "--bound", "5", "--set-size", "3"),
          "kappalab: cut-structure does not read --set-size\n"),
+        (("verify", "--lemma", "cut-structure", "--family", "ag", "--n", "4",
+          "--bound", "5", "--trials", "7", "--seed", "9"),
+         "kappalab: cut-structure does not read --trials on an exhaustive run\n"),
+        (("verify", "--lemma", "neighbor-bounds", "--family", "ag", "--n", "4",
+          "--set-size", "3", "--trials", "7", "--seed", "9"),
+         "kappalab: neighbor-bounds does not read --trials on an exhaustive run\n"),
+        (("verify", "--lemma", "splitstar-bounds", "--family", "s2", "--n", "4",
+          "--set-size", "2", "--seed", "9"),
+         "kappalab: splitstar-bounds does not read --seed on an exhaustive run\n"),
+        (("verify", "--lemma", "cut-structure", "--family", "ag", "--n", "4",
+          "--bound", "5", "--mode", "exhaustive", "--seed", "9"),
+         "kappalab: cut-structure does not read --seed on an exhaustive run\n"),
     ], ids=["gen-jobs", "gen-budget", "gen-seed", "kappa-seed", "table-seed", "kappa-B",
             "neighbor-bounds-mode", "basic-set-size", "basic-rule", "claims-trials",
-            "remark-seed", "splitstar-bounds-bound", "cut-structure-set-size"])
+            "remark-seed", "splitstar-bounds-bound", "cut-structure-set-size",
+            "exhaustive-cut-structure-trials", "exhaustive-neighbor-bounds-trials",
+            "exhaustive-splitstar-bounds-seed", "explicit-exhaustive-seed"])
     def test_unread_option_is_usage_error(self, capsys, argv, message):
         try:
             code = main(list(argv))
@@ -498,3 +513,51 @@ class TestConfigResolution:
         code, out = run_cli(capsys, "gen", "--family", "ag", "--n", "4")
         assert code == 0
         assert out == want
+
+
+# sha256 of the stdout and the exit code of fixed verify commands, recorded
+# before the verifiers took their graph first: every valid command keeps them
+VERIFY_GOLDEN = [
+    ("basic --family ag --n 4", 0,
+     "789fe51ec923e127eb3400ff259cd16882b3f7727a570e2fff5de32bbedcf394"),
+    ("basic --family ag --n 5", 0,
+     "41627b4bb7e9520b1e9479d35146f37a67e98b3949fcd3216425fd4d2f2a7106"),
+    ("claims --family ag --n 4", 0,
+     "654960db69b2951754a70b3acb80ce13e85b59705f283ec7ad3a73fab9404099"),
+    ("claims --family ag --n 5", 4,
+     "5fd030e3bae1df540f98d4370cce380d6950085f334fa93301ebb08322e217c4"),
+    ("remark --family ag --n 4", 0,
+     "8a125b1105d86e088c8d413d01ce8d4421315e43ff33e52845ffd0265f7b3817"),
+    ("remark --family ag --n 5", 0,
+     "e39366a35f2f3d2a691366d48ed2208f78c5ace2e96eeb507000d3b35a84cd63"),
+    ("neighbor-bounds --family ag --n 4 --set-size 3", 0,
+     "bcd05df4d2c6e14e74e5c902887f7a057698960d70110ee618b96da7c2e9ed06"),
+    ("neighbor-bounds --family ag --n 4 --set-size 4", 0,
+     "1c22e87fa3274d5b40998e4331f4c4a7afee865a176f8ccc7e2fcb8c89713a2c"),
+    ("neighbor-bounds --family ag --n 6 --set-size 3 --trials 2000 --seed 5", 0,
+     "16041ee7eb68405cb81b8021ca9c4fb49049250dcedac4dbc6180835fad7ea41"),
+    ("splitstar-bounds --family s2 --n 4 --set-size 2", 0,
+     "add7ee6262f9a8e9a5da19c9490294bc76be7c228973ac6001ecb9bbc07702c7"),
+    ("splitstar-bounds --family s2 --n 4 --set-size 3", 0,
+     "0847640750b0a5fe63cc1cbf17a39db3ac807c7a071f251482e1685937347119"),
+    ("splitstar-bounds --family s2 --n 4 --set-size 4", 0,
+     "f953e84e09199b91f20642e97dd9ce8e1e526db9333b830075bd434b1671457d"),
+    ("splitstar-bounds --family s2 --n 5 --set-size 2 --trials 2000 --seed 1", 0,
+     "1780e5a33c3ec70a5178e10b14ace2b9969684949c0820150743100e2bb74c02"),
+    ("cut-structure --family ag --n 4 --bound 5", 0,
+     "a19048c8356385a4610e0abf6160f9fd67a07a4e52e20ebd9bb92583ad8a6794"),
+    ("cut-structure --family s2 --n 4 --bound 7", 0,
+     "4c6863440f438af7a01b0e5cbd12f9b535e5966c2669bf4338f37892f82a2a3d"),
+    ("cut-structure --family ag --n 5 --bound 10 --mode sampled --trials 2000 --seed 11 --jobs 1", 0,
+     "db1bd7ddbc0efb355c39223848b5ddbcda6813a1136ae66ec2766ef49acbd73a"),
+    ("cut-structure --family ag --n 5 --bound 10 --mode sampled --trials 2000 --seed 11 --jobs 2", 0,
+     "88fe9343a31b7c3312363b588751abc3d68bfa0c877442091558c305bbfc889e"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", VERIFY_GOLDEN, ids=[
+    f"{i:02d}-{row[0].split()[0]}" for i, row in enumerate(VERIFY_GOLDEN)])
+def test_verify_output_is_byte_identical(capsys, argv, code, digest):
+    got, out = run_cli(capsys, "verify", "--lemma", *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

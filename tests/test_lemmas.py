@@ -6,7 +6,7 @@ import pytest
 
 from kappalab import lemmas
 from kappalab.connectivity import common_neighbors, is_independent, mask_of
-from kappalab.graphs import CayleyGraph
+from kappalab.graphs import CayleyGraph, build_ag, build_splitstar
 from kappalab.lemmas import (
     CUT_RULES,
     independent_sets_containing_zero,
@@ -15,9 +15,8 @@ from kappalab.lemmas import (
     verify_basic_ag,
     verify_claims_123,
     verify_cut_structure,
-    verify_neighbor_bounds_ag,
+    verify_neighbor_bounds,
     verify_remark_constructions,
-    verify_splitstar_neighbor_bounds,
 )
 from kappalab.perms import Perm
 
@@ -48,8 +47,8 @@ def add_edge(G, u, v):
 
 class TestBasicAg:
     @pytest.mark.parametrize("n", [4, 5])
-    def test_consistent(self, n):
-        report = verify_basic_ag(n)
+    def test_consistent(self, request, n):
+        report = verify_basic_ag(request.getfixturevalue(f"ag{n}"))
         assert report.verdict == "consistent"
         assert report.mode == "exhaustive"
         assert report.instances_checked > 0
@@ -58,35 +57,35 @@ class TestBasicAg:
         u = vid(ag4, "1234")
         ext = next(v for v in ag4.neighbors[u] if ag4.last_symbol(v) != 4)
         corrupted = drop_edge(ag4, u, ext)
-        report = verify_basic_ag(4, graph=corrupted)
+        report = verify_basic_ag(corrupted)
         assert report.verdict == "violated"
         assert any(v["check"] == "external-edge-count" for v in report.violations)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_basic_ag(3)
+            verify_basic_ag(build_ag(3))
 
 
 class TestNeighborBoundsAg:
-    def test_ag4_minima_tight(self):
-        assert verify_neighbor_bounds_ag(4, 3).min_attained == 8
-        assert verify_neighbor_bounds_ag(4, 4).min_attained == 8
+    def test_ag4_minima_tight(self, ag4):
+        assert verify_neighbor_bounds(ag4, 3).min_attained == 8
+        assert verify_neighbor_bounds(ag4, 4).min_attained == 8
 
-    def test_ag5_minima_tight(self):
-        r3 = verify_neighbor_bounds_ag(5, 3)
-        r4 = verify_neighbor_bounds_ag(5, 4)
+    def test_ag5_minima_tight(self, ag5):
+        r3 = verify_neighbor_bounds(ag5, 3)
+        r4 = verify_neighbor_bounds(ag5, 4)
         assert (r3.verdict, r3.min_attained) == ("consistent", 14)
         assert (r4.verdict, r4.min_attained) == ("consistent", 16)
 
-    def test_ag6_sampled(self):
-        report = verify_neighbor_bounds_ag(6, 3, trials=2000, seed=5)
+    def test_ag6_sampled(self, ag6):
+        report = verify_neighbor_bounds(ag6, 3, trials=2000, seed=5)
         assert report.mode == "sampled"
         assert report.verdict == "consistent (sampled)"
         assert report.min_attained >= 6 * 6 - 16
 
     def test_mutation_control(self, ag4):
         corrupted = drop_edge(ag4, vid(ag4, "4321"), vid(ag4, "3241"))
-        report = verify_neighbor_bounds_ag(4, 3, graph=corrupted)
+        report = verify_neighbor_bounds(corrupted, 3)
         assert report.verdict == "violated"
         assert report.min_attained < 8
 
@@ -101,21 +100,21 @@ class TestNeighborBoundsAg:
 
 
 class TestSplitstarBounds:
-    def test_s4_minima_tight(self):
+    def test_s4_minima_tight(self, s4):
         for size, want in ((2, 8), (3, 10), (4, 12)):
-            report = verify_splitstar_neighbor_bounds(4, size)
+            report = verify_neighbor_bounds(s4, size)
             assert report.verdict == "consistent"
             assert report.min_attained == want
 
-    def test_s5_sampled(self):
-        report = verify_splitstar_neighbor_bounds(5, 2, trials=3000, seed=1)
+    def test_s5_sampled(self, s5):
+        report = verify_neighbor_bounds(s5, 2, trials=3000, seed=1)
         assert report.mode == "sampled"
         assert report.verdict == "consistent (sampled)"
         assert report.min_attained >= 4 * 5 - 8
 
     def test_mutation_control(self, s4):
         # make some independent pair's neighborhood fall under 4n-8
-        base = verify_splitstar_neighbor_bounds(4, 2)
+        base = verify_neighbor_bounds(s4, 2)
         assert base.min_attained == 8
         u = 0
         v = next(
@@ -128,20 +127,20 @@ class TestSplitstarBounds:
             for x in s4.neighbors[u]
             if x not in common_neighbors(s4, u, v) and not s4.has_edge(x, v) and x != v
         )
-        report = verify_splitstar_neighbor_bounds(4, 2, graph=drop_edge(s4, u, spare))
+        report = verify_neighbor_bounds(drop_edge(s4, u, spare), 2)
         assert report.verdict == "violated"
 
 
 class TestClaims:
-    def test_ag4_fully_consistent(self):
-        report = verify_claims_123(4)
+    def test_ag4_fully_consistent(self, ag4):
+        report = verify_claims_123(ag4)
         assert report.verdict == "consistent"
 
-    def test_ag5_finds_the_claim3_counterexamples(self):
+    def test_ag5_finds_the_claim3_counterexamples(self, ag5):
         # the stated cross cap (adjacent or at most one shared neighbor)
         # fails for 12 pairs at n=5: (e gi+)gj- and (e gi+)gk+ always share
         # x gk- = y gj+ on top of e gi+, via gk+ gj+ = gj- gk-
-        report = verify_claims_123(5)
+        report = verify_claims_123(ag5)
         assert report.verdict == "violated"
         kinds = Counter(v["check"] for v in report.violations)
         assert kinds == {"claim3-cross-cap": 12}
@@ -170,7 +169,7 @@ class TestClaims:
         # joining two members of N+- must trip the independence check
         x, y = vid(ag5, "14235"), vid(ag5, "13425")
         assert not ag5.has_edge(x, y)
-        report = verify_claims_123(5, graph=add_edge(ag5, x, y))
+        report = verify_claims_123(add_edge(ag5, x, y))
         assert any(v["check"] == "npm-independent" for v in report.violations)
 
 
@@ -241,6 +240,12 @@ class TestCutStructure:
         with pytest.raises(ValueError):
             verify_cut_structure(s4, 8, "s2-4n-8", budget=100)
 
+    def test_rule_of_the_other_family_raises(self, ag4, s4):
+        with pytest.raises(ValueError, match="rule ag-4n-11 applies to ag graphs, got s2"):
+            verify_cut_structure(s4, 5, "ag-4n-11")
+        with pytest.raises(ValueError, match="rule s2-4n-8 applies to s2 graphs, got ag"):
+            verify_cut_structure(ag4, 3, "s2-4n-8", mode="sampled", trials=10)
+
     def test_rule_selection(self, ag4):
         assert rule_for("ag", 4, 5).key == "ag-4n-11"
         assert rule_for("ag", 5, 10).key == "ag-6n-20"
@@ -256,17 +261,60 @@ class TestCutStructure:
 
 class TestRemark:
     @pytest.mark.parametrize("n,want3,want4", [(4, 8, 8), (5, 14, 16), (6, 20, 24)])
-    def test_minima(self, n, want3, want4):
-        report = verify_remark_constructions(n)
+    def test_minima(self, request, n, want3, want4):
+        report = verify_remark_constructions(request.getfixturevalue(f"ag{n}"))
         assert report.verdict == "consistent"
         assert report.notes[0] == f"three-set minimum {want3}, four-set minimum {want4}"
 
     def test_mutation_control(self, ag4):
         report = verify_remark_constructions(
-            4, graph=add_edge(ag4, vid(ag4, "1234"), vid(ag4, "4321"))
+            add_edge(ag4, vid(ag4, "1234"), vid(ag4, "4321"))
         )
         assert report.verdict == "violated"
         assert any(v["check"] == "independence" for v in report.violations)
+
+
+class TestGraphScope:
+    """Every verifier reads its family and n from the graph it is given."""
+
+    CHECKS = {
+        "basic": verify_basic_ag,
+        "claims": verify_claims_123,
+        "remark": verify_remark_constructions,
+        "bounds-3": lambda G: verify_neighbor_bounds(G, 3),
+    }
+
+    @pytest.mark.parametrize("check,graph", [
+        ("basic", "ag5"), ("claims", "ag4"), ("remark", "ag5"), ("bounds-3", "ag4"),
+        ("bounds-3", "s4"),
+    ])
+    def test_report_reads_the_graph(self, request, check, graph):
+        G = request.getfixturevalue(graph)
+        report = self.CHECKS[check](G)
+        assert (report.family, report.n, report.mode) == (G.family, G.n, "exhaustive")
+        assert report.verdict == "consistent"
+
+    @pytest.mark.parametrize("check", ["basic", "claims", "remark"])
+    def test_graph_of_the_other_family_raises(self, s4, check):
+        with pytest.raises(ValueError, match="applies to ag graphs, got s2"):
+            self.CHECKS[check](s4)
+
+    @pytest.mark.parametrize("check,build,n", [
+        ("basic", build_ag, 3), ("basic", build_ag, 7), ("claims", build_ag, 3),
+        ("claims", build_ag, 7), ("remark", build_ag, 3), ("bounds-3", build_ag, 3),
+        ("bounds-3", build_ag, 7), ("bounds-3", build_splitstar, 3),
+        ("bounds-3", build_splitstar, 6),
+    ])
+    def test_n_outside_the_range_raises(self, check, build, n):
+        with pytest.raises(ValueError, match=f"supports 4 <= n <= \\d, got {n}"):
+            self.CHECKS[check](build(n))
+
+    def test_set_size_is_read_per_family(self, ag4, s4):
+        assert verify_neighbor_bounds(s4, 2).lemma_id == "splitstar-bounds-2"
+        with pytest.raises(ValueError, match="set_size on ag must be one of"):
+            verify_neighbor_bounds(ag4, 2)
+        with pytest.raises(ValueError, match="set_size on s2 must be one of"):
+            verify_neighbor_bounds(s4, 5)
 
 
 class TestSampling:
@@ -299,7 +347,8 @@ class TestSampling:
         with pytest.raises(ValueError, match="subset size"):
             sample_subset(random.Random(0), V, k)
 
-    def test_sampled_reports_match_the_randrange_stream(self, ag4, ag5, s5, monkeypatch):
+    def test_sampled_reports_match_the_randrange_stream(self, ag4, ag5, ag6, s5,
+                                                         monkeypatch):
         # the four sampled rules of the benchmark, plus AG_4, whose V - i runs
         # through a power of two (8); the benchmark shapes never do
         cases = [(ag5, "ag-6n-20", 10), (ag5, "ag-8n-29", 11), (s5, "s2-6n-17", 13),
@@ -311,8 +360,8 @@ class TestSampling:
                                      jobs=jobs)
                 for G, rule, size in cases
             ]
-            bounds = [verify_neighbor_bounds_ag(6, 3, trials=300, seed=4),
-                      verify_splitstar_neighbor_bounds(5, 2, trials=300, seed=4)]
+            bounds = [verify_neighbor_bounds(ag6, 3, trials=300, seed=4),
+                      verify_neighbor_bounds(s5, 2, trials=300, seed=4)]
             return [json.dumps(r.to_json_dict()) for r in census + bounds]
 
         def oracle_masks(rng, V, k):
@@ -326,6 +375,6 @@ class TestSampling:
 
 class TestRemarkLargerSizes:
     def test_n7_minima(self):
-        report = verify_remark_constructions(7)
+        report = verify_remark_constructions(build_ag(7))
         assert report.verdict == "consistent"
         assert report.notes[0] == "three-set minimum 26, four-set minimum 32"
