@@ -37,7 +37,9 @@ from .kappa import (
 from .lemmas import (
     BOUNDS_EXHAUSTIVE_MAX_N,
     CUT_RULES,
+    N_RANGES,
     BudgetExceeded,
+    check_scope,
     rule_for,
     verify_basic_ag,
     verify_claims_123,
@@ -178,6 +180,10 @@ def cmd_verify(args) -> int:
             if option not in VERIFY_DEFAULTS:
                 raise ValueError(f"{args.lemma} requires --{option.replace('_', '-')}")
             setattr(args, option, VERIFY_DEFAULTS[option])
+    # refuse an n the verifier does not take before building the graph; an n
+    # no graph is built for keeps the build's own message
+    if verifier.__name__ in N_RANGES and 3 <= args.n <= _max_n(args.family):
+        check_scope(verifier.__name__, args.family, args.n)
     G = build_family(args.family, args.n)
     report = verifier(G, **{option: getattr(args, option) for option in options})
     payload = {"schema": SCHEMA_VERSION, "jobs": args.jobs, **report.to_json_dict()}
@@ -185,9 +191,13 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+def _max_n(family: str) -> int:
+    return MAX_N_AG if family == FAMILY_AG else MAX_N_SPLIT_STAR
+
+
 def _table_rows(families, n_max, ells):
     for family in families:
-        top = min(n_max, MAX_N_AG if family == FAMILY_AG else MAX_N_SPLIT_STAR)
+        top = min(n_max, _max_n(family))
         for ell in ells:
             for n in range(KAPPA_FORMULAS[(family, ell)][2], top + 1):
                 yield family, ell, n
@@ -243,16 +253,17 @@ def cmd_table(args) -> int:
     if not rows:
         raise ValueError(f"no table rows for --families {args.families!r} "
                          f"--ells {args.ells!r} --n-max {args.n_max}")
-    graphs = {}
+    done = {}  # each graph is built once and gives all of its rows
+    for family, n in dict.fromkeys((family, n) for family, _, n in rows):
+        G = build_family(family, n)
+        for row in rows:
+            if (row[0], row[2]) == (family, n):
+                done[row] = _table_row(G, *row, args.budget, args.jobs)
+        del G  # freed before the next build, so one graph is alive at a time
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for family, ell, n in rows:
-        if (family, n) not in graphs:
-            graphs[(family, n)] = build_family(family, n)
-        writer.writerow(
-            _table_row(graphs[(family, n)], family, ell, n, args.budget, args.jobs)
-        )
+    writer.writerows(map(done.__getitem__, rows))
     _write_output(buf.getvalue(), args.output)
     return EXIT_OK
 

@@ -8,8 +8,9 @@ vertex survives fault j), those leaving at least ``need`` components, and
 :func:`component_masks` returns the components of each hit
 (:func:`count_components` and :func:`is_connected_after` are views of it).
 :func:`components`, which ``verify_cut`` and the paper cuts call on graphs of up
-to 20,160 vertices, walks the neighbour lists with a set frontier instead; it,
-:func:`component_report` and the neighbourhood helpers never build the masks.
+to 20,160 vertices, walks the neighbour lists instead, marking reached vertices
+in a bytearray; it, :func:`component_report` and the neighbourhood helpers
+never build the masks.
 Vertex sets cross the API boundary as plain iterables of ids and come back as
 sorted tuples or frozensets; inside they are bitmasks, built by ``mask_of`` and
 listed by ``ids_of`` (both from :mod:`kappalab.graphs`). A :class:`ComponentReport`
@@ -218,25 +219,29 @@ def component_report(neighbors: tuple[tuple[int, ...], ...], fault_mask: int,
 
 
 def components(G: BitGraph, F) -> ComponentReport:
-    """The report of G - F from a set-frontier walk of G's neighbour lists.
+    """The report of G - F from a frontier walk of G's neighbour lists.
 
-    Roots go in increasing id, as in :func:`component_masks`. Each mask is
-    parsed once from a V-digit binary string, in time linear in V.
+    A ``reached`` byte per vertex marks F and every vertex walked, so the
+    walk holds V bytes and one frontier, never a set of V ids. Roots go in
+    increasing id, as in :func:`component_masks`. Each mask is parsed once
+    from a V-digit binary string, in time linear in V.
     """
     fault = _vertex_ids(G, F)
     neighbors, V = G.neighbors, G.vertex_count
-    seen, masks = set(fault), []
-    for root in range(V):
-        if root not in seen:
-            comp, frontier = [], {root}
-            while frontier:
-                seen |= frontier
-                comp += frontier
-                frontier = {u for v in frontier for u in neighbors[v]} - seen
-            digits = bytearray(b"0") * V
-            for v in comp:
+    reached, masks = bytearray(V), []
+    for v in fault:
+        reached[v] = 1
+    root = reached.find(0)
+    while root >= 0:
+        digits, frontier = bytearray(b"0") * V, [root]
+        while frontier:
+            for v in frontier:
+                reached[v] = 1
                 digits[~v] = 49  # the "1" of bit v
-            masks.append(int(digits, 2))
+            frontier = [u for u in set().union(*map(neighbors.__getitem__, frontier))
+                        if not reached[u]]
+        masks.append(int(digits, 2))
+        root = reached.find(0, root)
     return component_report(neighbors, mask_of(fault), masks)
 
 

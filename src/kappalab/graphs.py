@@ -7,9 +7,12 @@ Both families are Cayley graphs on permutations of ``1..n``:
 * S_n^2: vertices are all permutations, edges the rotations plus the
   2-exchange g_12; (2n-3)-regular with n! vertices.
 
-Generators act on positions, so the build applies each one to the symbol
-tuples as a fixed position table. Vertex ids are lex positions (among the
-even permutations for AG), equal to ``even_rank`` / ``rank``, so id 0 is
+Generators act on positions, so the build applies each g_i+ (and g_12 on
+S_n^2) to the symbol tuples as a fixed position table, one column of
+neighbour ids per generator. g_i- is g_i+ applied twice, so its column is the
+g_i+ column composed with itself, with no relabel pass of its own. Vertex ids
+are lex positions (among the even permutations for AG), equal to
+``even_rank`` / ``rank``, so id 0 is
 always the identity. ``CayleyGraph.labels`` keeps those symbol tuples, and
 ``label(v)`` wraps one in a :class:`~kappalab.perms.Perm` only when a caller
 asks. Left multiplication relabels symbols and commutes with the generators,
@@ -29,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .perms import Perm, even_rank, exchange, rank, rot_minus, rot_plus, symbols_text
+from .perms import Perm, even_rank, exchange, rank, rot_plus, symbols_text
 
 FAMILY_AG = "ag"
 FAMILY_SPLIT_STAR = "s2"
@@ -173,19 +176,18 @@ class CayleyGraph(BitGraph):
         return translations
 
 
-def _moves(family: str, n: int) -> list:
-    """Each generator of the family as a position table on symbol tuples."""
+def _moves(family: str, n: int) -> tuple[list, list]:
+    """The g_i+ (3 <= i <= n), then the family's other generators (g_12 on
+    S_n^2), as position tables on symbol tuples. Each g_i- is g_i+ applied
+    twice, so it needs no table of its own."""
     identity = Perm.identity(n)
-    generators = [partial(rot, i=i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]
+    images = [rot_plus(identity, i) for i in range(3, n + 1)]
     if family == FAMILY_SPLIT_STAR:
-        generators.append(exchange)
-    moves = []
-    for g in generators:
-        image = g(identity)
-        if image == identity:
-            raise AssertionError("generator produced a self-loop")
-        moves.append(itemgetter(*(s - 1 for s in image.symbols)))
-    return moves
+        images.append(exchange(identity))
+    if identity in images:
+        raise AssertionError("generator produced a self-loop")
+    tables = [itemgetter(*(s - 1 for s in image.symbols)) for image in images]
+    return tables[: n - 2], tables[n - 2 :]
 
 
 def _vertex_symbols(family: str, n: int) -> tuple[tuple[int, ...], ...]:
@@ -194,14 +196,21 @@ def _vertex_symbols(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     if family == FAMILY_SPLIT_STAR:
         return tuple(perms)
     # a permutation is even iff the digit sum of its Lehmer code is, and the
-    # codes run through this product in the same lex order as the permutations
-    codes = itertools.product(*(range(n - i) for i in range(n)))
-    return tuple(p for p, code in zip(perms, codes) if sum(code) % 2 == 0)
+    # codes run in the same lex order as the permutations. Prepending a digit
+    # of radix m joins m copies of the parity bytes, flipped under odd digits.
+    even, odd = b"\1", b"\0"
+    for m in range(2, n + 1):
+        even, odd = b"".join(((even, odd) * m)[:m]), b"".join(((odd, even) * m)[:m])
+    return tuple(itertools.compress(perms, even))
 
 
 def _neighbor_ids(symbols, id_of: dict, moves) -> tuple[tuple[int, ...], ...]:
-    # one column of ids per move; distinct generators give distinct neighbours
-    columns = [map(id_of.__getitem__, map(move, symbols)) for move in moves]
+    # one column of ids per generator; distinct generators give distinct
+    # neighbours. A g_i- column is its g_i+ column composed with itself.
+    rotations, others = moves
+    plus = [list(map(id_of.__getitem__, map(g, symbols))) for g in rotations]
+    columns = plus + [map(c.__getitem__, c) for c in plus]
+    columns += [map(id_of.__getitem__, map(g, symbols)) for g in others]
     return tuple(map(tuple, map(sorted, zip(*columns))))
 
 

@@ -63,6 +63,8 @@ __all__ = [
     "CUT_RULES",
     "rule_for",
     "BOUNDS_EXHAUSTIVE_MAX_N",
+    "N_RANGES",
+    "check_scope",
     "verify_basic_ag",
     "verify_neighbor_bounds",
     "verify_claims_123",
@@ -120,11 +122,24 @@ class VerificationReport:
 PIN_NOTE = "independent sets pinned to contain the identity (vertex-transitivity)"
 
 
-def _check_graph(G: CayleyGraph, family: str, ns: range, verifier: str) -> None:
-    if G.family != family:
-        raise ValueError(f"{verifier} applies to {family} graphs, got {G.family}")
-    if G.n not in ns:
-        raise ValueError(f"{verifier} supports {ns[0]} <= n <= {ns[-1]}, got {G.n}")
+# the n range of each verifier on each family it takes; the CLI reads it too,
+# to refuse an n before it builds the graph
+N_RANGES = {
+    "verify_basic_ag": {FAMILY_AG: range(4, 7)},
+    "verify_neighbor_bounds": {FAMILY_AG: range(4, 7), FAMILY_SPLIT_STAR: range(4, 6)},
+    "verify_claims_123": {FAMILY_AG: range(4, 7)},
+    "verify_remark_constructions": {FAMILY_AG: range(4, 9)},
+}
+
+
+def check_scope(verifier: str, family: str, n: int) -> None:
+    """Raise ``ValueError`` unless ``verifier`` takes the graph of this family and n."""
+    families = N_RANGES[verifier]
+    if family not in families:
+        raise ValueError(f"{verifier} applies to {' or '.join(families)} graphs, got {family}")
+    ns = families[family]
+    if n not in ns:
+        raise ValueError(f"{verifier} supports {ns[0]} <= n <= {ns[-1]}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +154,7 @@ def verify_basic_ag(G: CayleyGraph) -> VerificationReport:
     lie in distinct parts; (3) nonadjacent vertices share at most two
     neighbors.
     """
-    _check_graph(G, FAMILY_AG, range(4, 7), "verify_basic_ag")
+    check_scope("verify_basic_ag", G.family, G.n)
     n = G.n
     violations: list[dict] = []
     checked = 0
@@ -240,11 +255,11 @@ def _sampled_fault_masks(seed: int, chunk: int, trials: int, V: int, size: int):
     return itertools.islice(_subset_masks(rng, V, size), trials)
 
 
-# per family: the n range, the independent-set sizes and the lemma id prefix
-# of the neighborhood bounds
+# per family: the independent-set sizes and the lemma id prefix of the
+# neighborhood bounds
 NEIGHBOR_BOUNDS = {
-    FAMILY_AG: (range(4, 7), (3, 4), "neighbor-bounds"),
-    FAMILY_SPLIT_STAR: (range(4, 6), (2, 3, 4), "splitstar-bounds"),
+    FAMILY_AG: ((3, 4), "neighbor-bounds"),
+    FAMILY_SPLIT_STAR: ((2, 3, 4), "splitstar-bounds"),
 }
 # the largest n whose neighborhood bounds check every set; larger n sample
 BOUNDS_EXHAUSTIVE_MAX_N = {FAMILY_AG: 5, FAMILY_SPLIT_STAR: 4}
@@ -259,8 +274,8 @@ def verify_neighbor_bounds(
     on S_n^2 (n in {4, 5}) they are 4n-8, 6n-14 and 8n-20 for sizes 2, 3 and
     4. Exhaustive up to :data:`BOUNDS_EXHAUSTIVE_MAX_N`, sampled above it.
     """
-    ns, sizes, lemma = NEIGHBOR_BOUNDS[G.family]
-    _check_graph(G, G.family, ns, "verify_neighbor_bounds")
+    check_scope("verify_neighbor_bounds", G.family, G.n)
+    sizes, lemma = NEIGHBOR_BOUNDS[G.family]
     if set_size not in sizes:
         raise ValueError(f"set_size on {G.family} must be one of {sizes}, got {set_size}")
     exhaustive = G.n <= BOUNDS_EXHAUSTIVE_MAX_N[G.family]
@@ -307,7 +322,7 @@ def verify_claims_123(G: CayleyGraph) -> VerificationReport:
     classes; independence of N+- and of N-+; and that each vertex of N+- has
     at most one neighbor in N-+ (and vice versa).
     """
-    _check_graph(G, FAMILY_AG, range(4, 7), "verify_claims_123")
+    check_scope("verify_claims_123", G.family, G.n)
     n = G.n
     e = Perm.identity(n)
     idx = G.vertex_id
@@ -635,7 +650,7 @@ def verify_remark_constructions(G: CayleyGraph) -> VerificationReport:
     |N(S)| = kappa_4 = 6n-16 and the 4-set with ((e gj+)gi-)gj+ added has
     kappa_5 = 8n-24.
     """
-    _check_graph(G, FAMILY_AG, range(4, 9), "verify_remark_constructions")
+    check_scope("verify_remark_constructions", G.family, G.n)
     n = G.n
     violations: list[dict] = []
     checked = 0

@@ -3,10 +3,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from kappalab import cli
 from kappalab.cli import main
 
 TABLE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "table_reference.csv"
@@ -196,6 +198,27 @@ class TestVerify:
                           "--family", "ag", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, verifier, n_range", [
+        (("basic", "--family", "ag", "--n", "8"), "verify_basic_ag", "4 <= n <= 6, got 8"),
+        (("claims", "--family", "ag", "--n", "3"), "verify_claims_123", "4 <= n <= 6, got 3"),
+        (("neighbor-bounds", "--family", "ag", "--n", "7", "--set-size", "3"),
+         "verify_neighbor_bounds", "4 <= n <= 6, got 7"),
+        (("splitstar-bounds", "--family", "s2", "--n", "7", "--set-size", "2"),
+         "verify_neighbor_bounds", "4 <= n <= 5, got 7"),
+        (("remark", "--family", "ag", "--n", "3"), "verify_remark_constructions",
+         "4 <= n <= 8, got 3"),
+    ], ids=["basic", "claims", "neighbor-bounds", "splitstar-bounds", "remark"])
+    def test_n_outside_the_verifier_range_is_refused_before_the_build(
+            self, capsys, monkeypatch, argv, verifier, n_range):
+        def no_build(family, n):
+            raise AssertionError("built a graph the verifier refuses")
+
+        monkeypatch.setattr(cli, "build_family", no_build)
+        code = main(["verify", "--lemma", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"kappalab: {verifier} supports {n_range}\n"
+
     def test_unknown_lemma_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--lemma", "nonsense", "--family", "ag", "--n", "4"])
@@ -355,6 +378,24 @@ class TestTable:
         assert captured.out == ""
         assert captured.err.startswith("kappalab: no table rows for ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_graph_alive_at_a_time(self, capsys, monkeypatch, jobs):
+        built, previous = [], [lambda: None]
+        build_family = cli.build_family
+
+        def recorded(family, n):
+            assert previous[-1]() is None, f"{built[-1]} still alive at the build of {family} n={n}"
+            built.append((family, n))
+            G = build_family(family, n)
+            previous.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(cli, "build_family", recorded)
+        code, out = run_cli(capsys, "table", "--n-max", "8", "--budget", "5000", "--jobs", jobs)
+        assert code == 0
+        assert out == TABLE_REFERENCE.read_text()
+        assert built == [("ag", n) for n in range(4, 9)] + [("s2", n) for n in range(4, 8)]
 
     def test_full_table_matches_reference(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+from operator import itemgetter
 
 import pytest
 
 from kappalab.graphs import (
     BitGraph,
+    _vertex_symbols,
     build_ag,
     build_splitstar,
     external_edge_count,
@@ -14,7 +16,7 @@ from kappalab.graphs import (
     to_dimacs,
     to_json_dict,
 )
-from kappalab.perms import Perm, exchange, parity, Parity, rot_minus, rot_plus
+from kappalab.perms import Perm, even_rank, exchange, parity, Parity, rot_minus, rot_plus
 
 from .oracles import oracle_cayley_graph
 
@@ -103,10 +105,33 @@ def test_build_matches_ranking_oracle(family, n):
         neighbors, masks, tuple(p.symbols for p in labels))
 
 
-@pytest.mark.parametrize(
-    "family, n",
-    [("ag", n) for n in range(3, 9)] + [("s2", n) for n in range(3, 8)],
-)
+EVERY_BUILDABLE = [("ag", n) for n in range(3, 9)] + [("s2", n) for n in range(3, 8)]
+
+
+@pytest.mark.parametrize("family, n", EVERY_BUILDABLE)
+def test_composed_columns_match_one_column_per_move(family, n):
+    # the build composes each g_i- column from its g_i+ column; here every
+    # generator gets its own column, each move applied to every label
+    G = build_ag(n) if family == "ag" else build_splitstar(n)
+    identity = Perm.identity(n)
+    images = [rot(identity, i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]
+    if family == "s2":
+        images.append(exchange(identity))
+    moves = [itemgetter(*(s - 1 for s in q.symbols)) for q in images]
+    id_of = {s: v for v, s in enumerate(G.labels)}
+    for s, ns in zip(G.labels, G.neighbors):
+        assert ns == tuple(sorted(id_of[move(s)] for move in moves))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ag_vertex_symbols_are_the_even_permutations_in_lex_order(n):
+    perms = (Perm(p) for p in itertools.permutations(range(1, n + 1)))
+    evens = tuple(p.symbols for p in perms if parity(p) is Parity.EVEN)
+    assert _vertex_symbols("ag", n) == evens
+    assert [even_rank(Perm(s)) for s in evens] == list(range(len(evens)))
+
+
+@pytest.mark.parametrize("family, n", EVERY_BUILDABLE)
 def test_labels_are_symbol_tuples(family, n):
     G = build_ag(n) if family == "ag" else build_splitstar(n)
     for v, symbols in enumerate(G.labels):
@@ -130,10 +155,7 @@ def test_build_constructs_no_perm_per_vertex(monkeypatch):
     assert len(made) < 10 * G.n
 
 
-@pytest.mark.parametrize(
-    "family, n",
-    [("ag", n) for n in range(3, 9)] + [("s2", n) for n in range(3, 8)],
-)
+@pytest.mark.parametrize("family, n", EVERY_BUILDABLE)
 def test_build_neighbours_are_distinct_and_sorted(family, n):
     G = build_ag(n) if family == "ag" else build_splitstar(n)
     degree = 2 * n - 4 if family == "ag" else 2 * n - 3
