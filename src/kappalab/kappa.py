@@ -5,8 +5,9 @@ l components or fewer than l vertices. Three tiers:
 
 * :func:`kappa_ell_exhaustive` - level-by-level subset enumeration; exact,
   and the oracle every other tier is judged against.
-* :func:`kappa_ell_witness_search` - bounded search over families of l-1
-  disjoint, pairwise nonadjacent, connected parts; always an upper bound.
+* :func:`kappa_ell_witness_search` - bounded search over the families of l-1
+  disjoint, pairwise nonadjacent, connected parts that :func:`witness_families`
+  lists; always an upper bound.
 * :func:`construct_paper_cut` - the explicit tight cuts N(S), S the first
   l-1 members of one fixed independent 4-set per family (:data:`PAPER_SETS`),
   verified on the built graph.
@@ -71,6 +72,7 @@ __all__ = [
     "verify_cut",
     "kappa_ell_exhaustive",
     "kappa_ell_witness_search",
+    "witness_families",
     "construct_paper_cut",
     "kappa_formula",
     "kappa_formula_text",
@@ -476,6 +478,32 @@ def _later_parts(adj, max_size: int, blocked: int, start: int):
                 yield pmask, a
 
 
+def witness_families(adj, parts: int, B: int):
+    """``(union, nbhd)`` of each family of ``parts`` pairwise nonadjacent
+    connected parts of size <= B, the first through vertex 0.
+
+    Lazy and depth first, parts in increasing least id, so at B = 1 the unions
+    are the independent ``parts``-sets through 0 in lex order. N(union) is
+    ``nbhd & ~union``. The stack is explicit: no depth hits the recursion limit.
+    """
+    # (union, nbhd, next parts) for each partial family on the current path
+    stack = [(0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
+    while stack:
+        union, nbhd, nexts = stack[-1]
+        step = next(nexts, None)
+        if step is None:
+            stack.pop()
+            continue
+        pmask, a = step
+        union |= pmask
+        for v in ids_of(pmask):
+            nbhd |= adj[v]
+        if len(stack) == parts:
+            yield union, nbhd
+        else:
+            stack.append((union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
+
+
 def kappa_ell_witness_search(
     G: BitGraph, ell: int, B: int = 1, budget: int = DEFAULT_BUDGET
 ) -> KappaResult:
@@ -497,26 +525,10 @@ def kappa_ell_witness_search(
         raise ValueError("ell must be >= 2")
     if B < 1:
         raise ValueError("B must be >= 1")
-    adj = G.adj_masks
     full = G.full_mask
     best: tuple[int, tuple[int, ...]] | None = None  # (size, fault)
     explored = 0  # complete witness families visited
-    # depth-first over partial families: (part count, union, nbhd, next parts),
-    # where nbhd ORs the adjacency masks of the union, so N(union) = nbhd & ~union
-    stack = [(0, 0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
-    while stack:
-        depth, union, nbhd, nexts = stack[-1]
-        step = next(nexts, None)
-        if step is None:
-            stack.pop()
-            continue
-        pmask, a = step
-        depth, union = depth + 1, union | pmask
-        for v in ids_of(pmask):
-            nbhd |= adj[v]
-        if depth < ell - 1:
-            stack.append((depth, union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
-            continue
+    for union, nbhd in witness_families(G.adj_masks, ell - 1, B):
         explored += 1
         if explored > budget:
             raise BudgetExceeded(f"witness search visited more than {budget} families")

@@ -12,7 +12,9 @@ and are reported as "consistent (sampled)", never as proved.
 
 The cut-structure rules live here; their censuses, exhaustive and sampled,
 run on the census reducer :func:`kappalab.kappa.run_census`, which the hyper
-scan shares. This module only hands it the sampled faults.
+scan shares. This module only hands it the sampled faults. The exhaustive
+neighborhood bounds read their independent sets, the part-size-1 witness
+families, from :func:`kappalab.kappa.witness_families`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .kappa import (
     remark_independent_set,
     run_census,
     scan_tasks,
+    witness_families,
 )
 from .perms import Perm, exchange, rot_minus, rot_plus
 
@@ -70,7 +73,6 @@ __all__ = [
     "verify_claims_123",
     "verify_cut_structure",
     "verify_remark_constructions",
-    "independent_sets_containing_zero",
     "sample_subset",
 ]
 
@@ -200,22 +202,6 @@ def verify_basic_ag(G: CayleyGraph) -> VerificationReport:
 # neighborhood lower bounds over independent sets
 
 
-def independent_sets_containing_zero(G: CayleyGraph, size: int):
-    """All independent sets {0, v_1 < v_2 < ...} of the given size."""
-    adj = G.adj_masks
-    stack = [((0,), adj[0] | 1)]  # depth-first, smallest next vertex first
-    while stack:
-        chosen, blocked = stack.pop()
-        if len(chosen) == size:
-            yield chosen
-            continue
-        stack += [
-            (chosen + (v,), blocked | adj[v] | 1 << v)
-            for v in range(G.vertex_count - 1, chosen[-1], -1)
-            if not blocked >> v & 1
-        ]
-
-
 def _subset_masks(rng: random.Random, V: int, k: int):
     """Endless uniform k-subsets of range(V) as masks, by Fisher-Yates prefix.
 
@@ -281,7 +267,7 @@ def verify_neighbor_bounds(
     exhaustive = G.n <= BOUNDS_EXHAUSTIVE_MAX_N[G.family]
     bound = kappa_formula(G.family, set_size + 1, G.n)
     if exhaustive:
-        sets = independent_sets_containing_zero(G, set_size)
+        sets = (ids_of(union) for union, _ in witness_families(G.adj_masks, set_size, 1))
     else:
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")

@@ -149,3 +149,42 @@ def oracle_cayley_graph(family, n):
         neighbors.append(tuple(sorted({id_of(q) for q in images})))
     masks = tuple(sum(1 << u for u in ns) for ns in neighbors)
     return tuple(neighbors), masks, labels
+
+
+def oracle_witness_families(G, parts, B):
+    """Every family of ``parts`` pairwise nonadjacent connected parts of size
+    <= B with one part through vertex 0, each as a set of frozensets.
+
+    Parts are found by testing every vertex subset of size <= B for induced
+    connectivity, families by testing every combination of parts."""
+    adj = adjacency_dict(G)
+    pieces = [
+        frozenset(S)
+        for k in range(1, B + 1)
+        for S in itertools.combinations(adj, k)
+        if len(oracle_components({v: adj[v] & set(S) for v in S}, ())) == 1
+    ]
+
+    def apart(P, Q):
+        return not P & Q and not any(adj[v] & Q for v in P)
+
+    families = []
+    for first in (P for P in pieces if 0 in P):
+        rest = [P for P in pieces if apart(first, P)]
+        for others in itertools.combinations(rest, parts - 1):
+            if all(apart(P, Q) for P, Q in itertools.combinations(others, 2)):
+                families.append({first, *others})
+    return families
+
+
+def oracle_witness_cut(G, families):
+    """The lex-smallest minimum N(union) over ``families`` that leaves a vertex
+    outside the union and the cut, or None."""
+    adj = adjacency_dict(G)
+    keys = []
+    for family in families:
+        union = set().union(*family)
+        fault = sorted(set().union(*(adj[v] for v in union)) - union)
+        if len(union) + len(fault) < len(adj):
+            keys.append((len(fault), tuple(fault)))
+    return min(keys)[1] if keys else None

@@ -593,6 +593,12 @@ VERIFY_GOLDEN = [
      "db1bd7ddbc0efb355c39223848b5ddbcda6813a1136ae66ec2766ef49acbd73a"),
     ("cut-structure --family ag --n 5 --bound 10 --mode sampled --trials 2000 --seed 11 --jobs 2", 0,
      "88fe9343a31b7c3312363b588751abc3d68bfa0c877442091558c305bbfc889e"),
+    # the exhaustive neighbour bounds at n = 5, recorded before they read the
+    # witness search's family generator
+    ("neighbor-bounds --family ag --n 5 --set-size 3", 0,
+     "e4d26ae422d3b9a83ac5a982c0d572894b55f198419a6fd0946ce3fccdbe31f1"),
+    ("neighbor-bounds --family ag --n 5 --set-size 4", 0,
+     "7a63b8cea38a8ea58ad73ce0adea1e65d8f90a658646c96af882ea8c36c98b96"),
 ]
 
 
@@ -602,3 +608,55 @@ def test_verify_output_is_byte_identical(capsys, argv, code, digest):
     got, out = run_cli(capsys, "verify", "--lemma", *argv.split())
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout and the exit code of fixed witness searches, recorded
+# before the search read its families from kappa.witness_families: each pins
+# the value, ``explored`` and the witness byte for byte
+WITNESS_GOLDEN = [
+    ("--family ag --n 4 --ell 3 --B 1", 0,
+     "4aecc20a0adadaad05f6c6e931ecc7e561a270717307384be6dfc5f28d0d45eb"),
+    ("--family ag --n 4 --ell 4 --B 2", 0,
+     "7b86a39398d6c0c493e09e3d61433e316c915745f6944ac0961c0596ab883268"),
+    ("--family ag --n 4 --ell 3 --B 3", 0,
+     "720b4764d9cc72a16dcfe06550e5aef482dc9f5a261c63904cafa510bfa02872"),
+    ("--family ag --n 5 --ell 3 --B 2", 0,
+     "a66e02c4e15096cf84477878e4f2728dafe73cd342b1f6b6e3b45502dd0ba7b9"),
+    ("--family ag --n 5 --ell 4 --B 1", 0,
+     "2e9394ef53dde337ec178f4d27ae6994d2b8f19c933a8fc6618fd7248bf5a9d7"),
+    ("--family ag --n 5 --ell 4 --B 2", 0,
+     "f928fa3078a323bcce21a656ff5c7cd4d6c6b315e30ab29e542f032904d77e49"),
+    ("--family ag --n 5 --ell 5 --B 1", 0,
+     "28857d819bb6741059eff05a8f2a7a43804c983b1046530942077c506db24e83"),
+    ("--family s2 --n 4 --ell 3 --B 2", 0,
+     "b4b023331fea4a0dc42f5c4c7974a7bd33684a723207b78fc1b80c14fe3503ad"),
+    ("--family s2 --n 4 --ell 4 --B 1", 0,
+     "b241439d5cdfb6aab5fd05f8be906948e5b42f90824623745a0ba7d896901179"),
+    ("--family s2 --n 4 --ell 5 --B 1", 0,
+     "3150df3da214ebb4df100f88b9c4c85b7062a1a2ec6c58d6e3bcb74e581c74e6"),
+    ("--family s2 --n 4 --ell 5 --B 2", 0,
+     "2ab2e9006e501d1750c14f4bf1cc69c55895a44baa6a2df6b16ac0399aa5cd18"),
+    ("--family s2 --n 5 --ell 4 --B 1", 0,
+     "c84702c865db3c3126fd8a657daf26c7f0c03fb45118c6a1979874fc0800c2eb"),
+    ("--family s2 --n 5 --ell 3 --B 3 --budget 2000", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", WITNESS_GOLDEN, ids=[
+    row[0].replace("--family ", "").replace(" --", "-").replace(" ", "") for row in WITNESS_GOLDEN])
+def test_witness_output_is_byte_identical(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv("KAPPALAB_BUDGET", raising=False)
+    got, out = run_cli(capsys, "kappa", "--witness", *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_witness_search_without_a_family_is_usage_error(capsys):
+    # AG_4 has families of four singletons, but each one's cut leaves nothing outside
+    code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "5", "--witness"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "kappalab: no witness family with 4 parts of size <= 1\n"
+    assert "Traceback" not in captured.err

@@ -42,9 +42,10 @@ from kappalab.kappa import (
     scan_hits,
     scan_tasks,
     verify_cut,
+    witness_families,
     _connected_parts,
 )
-from kappalab.lemmas import independent_sets_containing_zero, verify_cut_structure
+from kappalab.lemmas import verify_cut_structure
 from kappalab.perms import Perm
 
 from .oracles import (
@@ -53,6 +54,8 @@ from .oracles import (
     oracle_lanes,
     oracle_components,
     oracle_disconnected,
+    oracle_witness_cut,
+    oracle_witness_families,
     random_connected_graph,
     sparse_random_graph,
 )
@@ -214,8 +217,7 @@ class TestWitnessSearch:
     def test_explored_counts_every_family_at_b1(self, graph, ell, expected, request):
         # with B=1 every complete family is an independent (ell-1)-set holding 0
         G = request.getfixturevalue(graph)
-        count = sum(1 for _ in independent_sets_containing_zero(G, ell - 1))
-        assert count == expected
+        assert len(oracle_witness_families(G, ell - 1, 1)) == expected
         assert kappa_ell_witness_search(G, ell, 1).explored == expected
 
     @pytest.mark.parametrize(
@@ -237,12 +239,24 @@ class TestWitnessSearch:
     def test_returns_lex_smallest_minimum_cut_at_b1(self, graph, ell, request):
         # with B=1 the families are the independent (ell-1)-sets holding 0
         G = request.getfixturevalue(graph)
-        keys = []
-        for S in independent_sets_containing_zero(G, ell - 1):
-            fault = tuple(sorted(neighborhood(G, S)))
-            if len(S) + len(fault) < G.vertex_count:
-                keys.append((len(fault), fault))
-        assert kappa_ell_witness_search(G, ell, 1).witness.fault == min(keys)[1]
+        want = oracle_witness_cut(G, oracle_witness_families(G, ell - 1, 1))
+        assert kappa_ell_witness_search(G, ell, 1).witness.fault == want
+
+    @pytest.mark.parametrize(
+        "graph, ell, B",
+        [("ag4", 3, 2), ("ag4", 4, 2), ("s4", 3, 2), ("s4", 4, 2), ("s4", 5, 1), ("s4", 5, 2)],
+    )
+    def test_matches_family_oracle(self, graph, ell, B, request):
+        G = request.getfixturevalue(graph)
+        families = oracle_witness_families(G, ell - 1, B)
+        res = kappa_ell_witness_search(G, ell, B)
+        assert res.explored == len(families)
+        assert res.witness.fault == oracle_witness_cut(G, families)
+
+    def test_deep_search_stays_iterative(self):
+        # a 1199-part family is far deeper than the recursion limit
+        with pytest.raises(BudgetExceeded):
+            kappa_ell_witness_search(build_ag(8), 1200, 1, budget=5)
 
     def test_monotone_nonincreasing_in_b(self, ag4):
         v1 = kappa_ell_witness_search(ag4, 3, 1).value
@@ -302,6 +316,21 @@ class TestConnectedPartsEnumeration:
     def test_no_duplicates(self, s4):
         parts = list(_connected_parts(s4.adj_masks, 0, 4, 0))
         assert len(parts) == len(set(parts))
+
+    @pytest.mark.parametrize("graph, parts, B", [("ag4", 3, 2), ("s4", 2, 2), ("s4", 3, 1)])
+    def test_families_match_oracle(self, graph, parts, B, request):
+        # the parts are pairwise nonadjacent, so they are the components of the union
+        G = request.getfixturevalue(graph)
+        got = [
+            (frozenset(frozenset(ids_of(m)) for m in component_masks(G.adj_masks, union)),
+             nbhd & ~union)
+            for union, nbhd in witness_families(G.adj_masks, parts, B)
+        ]
+        want = {frozenset(f) for f in oracle_witness_families(G, parts, B)}
+        assert len(got) == len(want)
+        assert {family for family, _ in got} == want
+        for family, cut in got:
+            assert cut == mask_of(neighborhood(G, set().union(*family)))
 
 
 class TestPaperCuts:
@@ -710,7 +739,7 @@ class TestEnumerationHelpers:
             ("s2", 5, lambda G: construct_paper_cut(G, 5)),
             ("s2", 7, lambda G: [construct_paper_cut(G, ell) for ell in (3, 4, 5)]),
             ("ag", 5, lambda G: kappa_ell_witness_search(G, 4, 2)),
-            ("ag", 5, lambda G: list(independent_sets_containing_zero(G, 2))),
+            ("ag", 5, lambda G: list(witness_families(G.adj_masks, 2, 1))),
         ],
         ids=["tight-set-s5", "tight-sets-s7", "witness-search", "independent-sets"],
     )

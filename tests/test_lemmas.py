@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 
 from kappalab import lemmas
-from kappalab.connectivity import common_neighbors, is_independent, mask_of
+from kappalab.connectivity import common_neighbors, ids_of, is_independent, mask_of, neighborhood
 from kappalab.graphs import CayleyGraph, build_ag, build_splitstar
+from kappalab.kappa import witness_families
 from kappalab.lemmas import (
     CUT_RULES,
-    independent_sets_containing_zero,
     rule_for,
     sample_subset,
     verify_basic_ag,
@@ -22,7 +22,7 @@ from kappalab.perms import Perm
 
 import random
 
-from .oracles import oracle_sample_subset
+from .oracles import oracle_sample_subset, oracle_witness_families
 
 
 def vid(G, text):
@@ -90,13 +90,14 @@ class TestNeighborBoundsAg:
         assert report.min_attained < 8
 
     def test_enumerator_matches_brute_force(self, ag4):
-        got = set(independent_sets_containing_zero(ag4, 3))
-        want = {
-            (0,) + rest
-            for rest in itertools.combinations(range(1, 12), 2)
-            if is_independent(ag4, (0,) + rest)
-        }
+        # the exhaustive bounds read the part-size-1 witness families, in lex order
+        got = [ids_of(union) for union, _ in witness_families(ag4.adj_masks, 3, 1)]
+        want = sorted(tuple(sorted(set().union(*f))) for f in oracle_witness_families(ag4, 3, 1))
         assert got == want
+        assert all(is_independent(ag4, S) for S in want)
+        report = verify_neighbor_bounds(ag4, 3)
+        assert report.instances_checked == len(want)
+        assert report.min_attained == min(len(neighborhood(ag4, S)) for S in want)
 
 
 class TestSplitstarBounds:
