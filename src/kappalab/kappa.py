@@ -21,7 +21,8 @@ space, ``SCAN_BATCH`` faults at a time, one bit lane per fault.
 :func:`level_tasks` splits a level into jobs-independent tasks;
 :func:`lex_batches` hands over a task's faults in lex order already
 transposed, from the combination patterns of the lex recursion, and
-:func:`mask_batches` transposes any other stream of fault masks.
+:func:`id_batches` sets the lanes of any other stream of faults from their
+vertex ids.
 A batch is a list of V ints, bit j of ``alive[v]`` set iff vertex v survives
 fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
 on each batch and yields the mask of each fault leaving enough components,
@@ -59,7 +60,6 @@ from .perms import Perm, rot_minus, rot_plus
 
 DEFAULT_BUDGET = 10**8  # explored-subset cap, not wall time
 SCAN_BATCH = 2048  # lanes per split_lanes call in scan_hits
-TRANSPOSE_CHUNK = 256  # vertices per transpose pass of mask_batches
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -82,7 +82,7 @@ __all__ = [
     "level_tasks",
     "scan_tasks",
     "lex_batches",
-    "mask_batches",
+    "id_batches",
     "scan_hits",
     "level_faults",
     "run_census",
@@ -267,26 +267,18 @@ def lex_batches(V: int, k: int, prefix: tuple[int, ...], start: int):
         yield [0 if pmask >> v & 1 else lanes for v in range(start)] + [lanes ^ p for p in pats]
 
 
-def mask_batches(V: int, faults):
-    """Fault masks on ``range(V)`` as lane batches, ``SCAN_BATCH`` at a time, in order.
-
-    Each pass packs ``TRANSPOSE_CHUNK`` vertices of every mask into one int and
-    slices its binary text once per vertex, so the text never holds more than
-    ``TRANSPOSE_CHUNK`` vertices of the batch.
-    """
+def id_batches(V: int, faults):
+    """Faults on ``range(V)``, each given as its vertex ids, as lane batches,
+    ``SCAN_BATCH`` at a time, in order: vertex v is dead in lane j iff fault j holds v."""
     faults = iter(faults)
     while batch := list(itertools.islice(faults, SCAN_BATCH)):
-        lanes, alive = (1 << len(batch)) - 1, []
-        for lo in range(0, V, TRANSPOSE_CHUNK):
-            width = min(TRANSPOSE_CHUNK, V - lo)
-            nbytes, window = (width + 7) // 8, (1 << width) - 1
-            packed = b"".join([(m >> lo & window).to_bytes(nbytes, "little") for m in batch])
-            # bit v of fault j is bit j * stride + v of packed; the text runs from
-            # the last fault to the first, so int() puts fault j at bit j
-            stride = 8 * nbytes
-            bits = format(int.from_bytes(packed, "little"), f"0{len(batch) * stride}b")
-            alive += [lanes ^ int(bits[stride - 1 - v :: stride], 2) for v in range(width)]
-        yield alive
+        dead = [0] * V
+        for j, fault in enumerate(batch):
+            bit = 1 << j
+            for v in fault:
+                dead[v] |= bit
+        lanes = (1 << len(batch)) - 1
+        yield [lanes ^ d for d in dead]
 
 
 def scan_hits(G: BitGraph, batches, need: int):
@@ -533,8 +525,8 @@ def kappa_ell_witness_search(
         if explored > budget:
             raise BudgetExceeded(f"witness search visited more than {budget} families")
         fault_mask = nbhd & ~union
-        if not full & ~union & ~fault_mask:  # nothing left outside the cut
-            continue
+        if not full & ~union & ~fault_mask and union.bit_count() >= ell:
+            continue  # only the l - 1 parts are left, and at least l vertices
         size = fault_mask.bit_count()
         if best is not None and size > best[0]:
             continue  # a larger fault never has the smaller (size, ids) key

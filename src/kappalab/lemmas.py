@@ -12,7 +12,9 @@ and are reported as "consistent (sampled)", never as proved.
 
 The cut-structure rules live here; their censuses, exhaustive and sampled,
 run on the census reducer :func:`kappalab.kappa.run_census`, which the hyper
-scan shares. This module only hands it the sampled faults. The exhaustive
+scan shares. This module only hands it the sampled faults: the vertex ids of
+each draw of the one sampler, :func:`_subset_draws`, set its lane through
+:func:`kappalab.kappa.id_batches`. The exhaustive
 neighborhood bounds read their independent sets, the part-size-1 witness
 families, from :func:`kappalab.kappa.witness_families`.
 """
@@ -47,9 +49,9 @@ from .graphs import (
 from .kappa import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    id_batches,
     kappa_formula,
     level_faults,
-    mask_batches,
     remark_independent_set,
     run_census,
     scan_tasks,
@@ -202,43 +204,36 @@ def verify_basic_ag(G: CayleyGraph) -> VerificationReport:
 # neighborhood lower bounds over independent sets
 
 
-def _subset_masks(rng: random.Random, V: int, k: int):
-    """Endless uniform k-subsets of range(V) as masks, by Fisher-Yates prefix.
+def _subset_draws(rng: random.Random, V: int, k: int):
+    """Endless uniform k-subsets of range(V) as vertex ids in draw order, by
+    Fisher-Yates prefix.
 
     Step i draws as ``rng.randrange(i, V)`` does: ``getrandbits`` of the bit
-    length of V - i until below V - i. No step reads the slots before it.
+    length of V - i until below V - i.
     """
     if not 0 <= k <= V:
         raise ValueError(f"subset size must be between 0 and {V}, got {k}")
     getrandbits = rng.getrandbits
     steps = [(i, V - i, (V - i).bit_length()) for i in range(k)]
-    bits = [1 << v for v in range(V)]
+    ids = list(range(V))
     while True:
-        pool = bits[:]
-        m = 0
+        pool = ids[:]
         for i, n, b in steps:
             r = getrandbits(b)
             while r >= n:
                 r = getrandbits(b)
             r += i
-            m |= pool[r]
-            pool[r] = pool[i]
-        yield m
+            pool[i], pool[r] = pool[r], pool[i]
+        yield pool[:k]
 
 
 def sample_subset(rng: random.Random, V: int, k: int) -> list[int]:
     """Uniform k-subset of range(V) by Fisher-Yates prefix, sorted."""
-    return list(ids_of(next(_subset_masks(rng, V, k))))
+    return sorted(next(_subset_draws(rng, V, k)))
 
 
 def _chunk_seed(seed: int, chunk: int) -> int:
     return (seed * 0x9E3779B1 + chunk) & 0x7FFFFFFFFFFFFFFF
-
-
-def _sampled_fault_masks(seed: int, chunk: int, trials: int, V: int, size: int):
-    """Fault masks of one seeded sample chunk."""
-    rng = random.Random(_chunk_seed(seed, chunk))
-    return itertools.islice(_subset_masks(rng, V, size), trials)
 
 
 # per family: the independent-set sizes and the lemma id prefix of the
@@ -272,8 +267,8 @@ def verify_neighbor_bounds(
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")
         # vertex 0 plus a draw from the other V - 1 vertices, shifted up by one
-        draws = _subset_masks(random.Random(seed), G.vertex_count - 1, set_size - 1)
-        candidates = (ids_of(m << 1 | 1) for m in draws)
+        draws = _subset_draws(random.Random(seed), G.vertex_count - 1, set_size - 1)
+        candidates = ((0, *sorted(v + 1 for v in draw)) for draw in draws)
         sets = itertools.islice((S for S in candidates if is_independent(G, S)), trials)
     violations: list[dict] = []
     checked = 0
@@ -546,7 +541,8 @@ def _sampled_faults(task):
     ``(size, seed, chunk, trials)``, read by :func:`~kappalab.kappa.run_census`."""
     size, seed, chunk, trials = task
     V = worker_state()["graph"].vertex_count
-    return mask_batches(V, _sampled_fault_masks(seed, chunk, trials, V, size)), trials
+    draws = _subset_draws(random.Random(_chunk_seed(seed, chunk)), V, size)
+    return id_batches(V, itertools.islice(draws, trials)), trials
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:

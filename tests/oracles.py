@@ -177,14 +177,14 @@ def oracle_witness_families(G, parts, B):
     return families
 
 
-def oracle_witness_cut(G, families):
-    """The lex-smallest minimum N(union) over ``families`` that leaves a vertex
-    outside the union and the cut, or None."""
+def oracle_witness_cut(G, families, ell):
+    """The lex-smallest minimum N(union) over ``families`` whose removal leaves
+    at least ``ell`` components or fewer than ``ell`` vertices, or None."""
     adj = adjacency_dict(G)
     keys = []
     for family in families:
         union = set().union(*family)
         fault = sorted(set().union(*(adj[v] for v in union)) - union)
-        if len(union) + len(fault) < len(adj):
+        if len(adj) - len(fault) < ell or len(oracle_components(adj, fault)) >= ell:
             keys.append((len(fault), tuple(fault)))
     return min(keys)[1] if keys else None

@@ -599,6 +599,16 @@ VERIFY_GOLDEN = [
      "e4d26ae422d3b9a83ac5a982c0d572894b55f198419a6fd0946ce3fccdbe31f1"),
     ("neighbor-bounds --family ag --n 5 --set-size 4", 0,
      "7a63b8cea38a8ea58ad73ce0adea1e65d8f90a658646c96af882ea8c36c98b96"),
+    # sampled censuses and bounds, recorded while the draws were still
+    # transposed from fault bitmasks; S_6^2 (V = 720) is past 256 vertices
+    ("cut-structure --family ag --n 4 --bound 5 --mode sampled --trials 3000 --seed 3 --jobs 2", 0,
+     "fca019d695622fc7301a96bb086d0f7e81d5f048698a41ddfe206ecdd4ed0c73"),
+    ("cut-structure --family s2 --n 4 --bound 8 --mode sampled --trials 3000 --seed 3 --jobs 1", 0,
+     "825439f17f61b659c2724de70e8a37e0c40c332c48a8e40fe38ca2652475be4a"),
+    ("cut-structure --family s2 --n 6 --bound 23 --mode sampled --trials 3000 --seed 5 --jobs 2", 0,
+     "b2b9a471f8feb7a013ac67ed45e2d57ae88ae07104701074b0a03c6f729d32d6"),
+    ("splitstar-bounds --family s2 --n 5 --set-size 4 --trials 2000 --seed 3", 0,
+     "7c65f0c8438c6777241e42a2f879523408be86da71fdd187ddbc99dbe4daa35a"),
 ]
 
 
@@ -653,10 +663,17 @@ def test_witness_output_is_byte_identical(capsys, monkeypatch, argv, code, diges
 
 
 def test_witness_search_without_a_family_is_usage_error(capsys):
-    # AG_4 has families of four singletons, but each one's cut leaves nothing outside
-    code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "5", "--witness"])
+    # AG_4 has no five pairwise nonadjacent vertices
+    code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "6", "--witness"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "kappalab: no witness family with 4 parts of size <= 1\n"
+    assert captured.err == "kappalab: no witness family with 5 parts of size <= 1\n"
     assert "Traceback" not in captured.err
+
+
+def test_witness_cut_leaving_fewer_than_ell_vertices_is_found(capsys):
+    # each family of four independent vertices of AG_4 has a cut leaving only itself
+    code, out = run_cli(capsys, "kappa", "--family", "ag", "--n", "4", "--ell", "5", "--witness")
+    assert code == 0
+    assert json.loads(out)["value"] == 8

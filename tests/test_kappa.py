@@ -33,11 +33,11 @@ from kappalab.kappa import (
     comb_lex_rank,
     construct_paper_cut,
     hyper_connectivity_scan,
+    id_batches,
     kappa_ell_exhaustive,
     kappa_ell_witness_search,
     lex_batches,
     level_tasks,
-    mask_batches,
     remark_independent_set,
     scan_hits,
     scan_tasks,
@@ -196,6 +196,14 @@ class TestWitnessSearch:
     def test_s5_ell4_b1(self, s5):
         assert kappa_ell_witness_search(s5, 4, 1).value == 16
 
+    def test_cut_leaving_fewer_than_ell_vertices_qualifies(self, ag4):
+        # N(union) of four independent vertices of AG_4 leaves only those four,
+        # fewer than l = 5, so the cut counts by the definition's second clause
+        res = kappa_ell_witness_search(ag4, 5, 1)
+        assert (res.value, res.explored) == (8, 3)
+        assert res.witness.fault == (1, 2, 4, 5, 6, 7, 9, 10)
+        assert res.value == kappa_ell_exhaustive(ag4, 5).value
+
     def test_equals_exhaustive_on_ag4(self, ag4):
         for ell in (3, 4):
             assert (
@@ -234,24 +242,26 @@ class TestWitnessSearch:
             kappa_ell_witness_search(G, ell, B, budget=free.explored - 1)
 
     @pytest.mark.parametrize(
-        "graph, ell", [("ag4", 3), ("ag4", 4), ("s4", 3), ("s4", 4), ("ag5", 3), ("ag5", 4)]
+        "graph, ell",
+        [("ag4", 3), ("ag4", 4), ("ag4", 5), ("s4", 3), ("s4", 4), ("ag5", 3), ("ag5", 4)],
     )
     def test_returns_lex_smallest_minimum_cut_at_b1(self, graph, ell, request):
         # with B=1 the families are the independent (ell-1)-sets holding 0
         G = request.getfixturevalue(graph)
-        want = oracle_witness_cut(G, oracle_witness_families(G, ell - 1, 1))
+        want = oracle_witness_cut(G, oracle_witness_families(G, ell - 1, 1), ell)
         assert kappa_ell_witness_search(G, ell, 1).witness.fault == want
 
     @pytest.mark.parametrize(
         "graph, ell, B",
-        [("ag4", 3, 2), ("ag4", 4, 2), ("s4", 3, 2), ("s4", 4, 2), ("s4", 5, 1), ("s4", 5, 2)],
+        [("ag4", 3, 2), ("ag4", 4, 2), ("ag4", 5, 1), ("s4", 3, 2), ("s4", 4, 2), ("s4", 5, 1),
+         ("s4", 5, 2)],
     )
     def test_matches_family_oracle(self, graph, ell, B, request):
         G = request.getfixturevalue(graph)
         families = oracle_witness_families(G, ell - 1, B)
         res = kappa_ell_witness_search(G, ell, B)
         assert res.explored == len(families)
-        assert res.witness.fault == oracle_witness_cut(G, families)
+        assert res.witness.fault == oracle_witness_cut(G, families, ell)
 
     def test_deep_search_stays_iterative(self):
         # a 1199-part family is far deeper than the recursion limit
@@ -517,14 +527,14 @@ class TestScanHits:
                 fm for fm in faults
                 if len(component_masks(G.adj_masks, G.full_mask ^ fm)) >= need
             ]
-            assert list(scan_hits(G, mask_batches(24, faults), need)) == want
-        hits = set(scan_hits(G, mask_batches(24, iter(faults)), 2))
+            assert list(scan_hits(G, id_batches(24, map(ids_of, faults)), need)) == want
+        hits = set(scan_hits(G, id_batches(24, map(ids_of, faults)), 2))
         assert [fm in hits for fm in faults] == oracle_disconnected(G, faults)
 
     @pytest.mark.parametrize("V", [65, 257, 300])
     def test_mask_source_reads_back_the_oracle_faults(self, V):
         # a ring with a few chords, so some faults disconnect and some do not;
-        # V crosses the 64-bit word and the TRANSPOSE_CHUNK window
+        # V crosses the 64-bit word
         rng = random.Random(V)
         chords = [tuple(rng.sample(range(V), 2)) for _ in range(V // 8)]
         G = BitGraph.from_edges(V, [(v, (v + 1) % V) for v in range(V)] + chords)
@@ -532,7 +542,7 @@ class TestScanHits:
         faults += [G.full_mask, G.full_mask ^ 1 << (V - 1), 1 << (V - 1) | 1 << (V - 3)]
         disconnected = oracle_disconnected(G, faults)
         assert 0 < sum(disconnected) < len(faults)
-        hits = list(scan_hits(G, mask_batches(V, faults), 2))
+        hits = list(scan_hits(G, id_batches(V, map(ids_of, faults)), 2))
         assert hits == [fm for fm, d in zip(faults, disconnected) if d]
         adj = adjacency_dict(G)
         for fm in hits:
@@ -555,24 +565,23 @@ class TestScanHits:
             ]
             hits = list(scan_hits(s4, lex_batches(24, *task), need))
             assert [(fm, component_masks(adj, full ^ fm, limit)) for fm in hits] == want
-            assert hits == list(scan_hits(s4, mask_batches(24, faults), need))
+            assert hits == list(scan_hits(s4, id_batches(24, map(ids_of, faults)), need))
 
     def test_rejects_need_below_two(self, ag4):
         with pytest.raises(ValueError):
-            list(scan_hits(ag4, mask_batches(12, [0]), 1))
+            list(scan_hits(ag4, id_batches(12, [()]), 1))
 
 
 def assert_source_matches_oracle(V, task, batches=None):
     """The lane batches of a task (the first ``batches`` of them, or all) equal
-    the oracle lex source transposed by the mask source (itself checked against
-    ``oracle_lanes`` below)."""
+    ``oracle_lanes`` of the oracle lex source."""
     limit = None if batches is None else batches * SCAN_BATCH
     masks = list(itertools.islice(lex_fault_masks(V, *task), limit))
     want = [masks[i : i + SCAN_BATCH] for i in range(0, len(masks), SCAN_BATCH)]
     got = list(itertools.islice(lex_batches(V, *task), batches))
     assert len(got) == len(want)
     for alive, masks in zip(got, want):
-        assert alive == next(mask_batches(V, masks))
+        assert alive == oracle_lanes(masks, V)
 
 
 class TestLexBatches:
@@ -624,26 +633,30 @@ class TestLexBatches:
 
 
 class TestMaskBatches:
+    """``id_batches``, the lane source of faults given as vertex ids."""
+
     @pytest.mark.parametrize("V", [1, 9, 255, 256, 257, 600])
     def test_lanes_are_the_transposed_masks(self, V):
         rng = random.Random(V)
         full = (1 << V) - 1
         masks = [0, full] + [mask_of(rng.sample(range(V), rng.randint(0, V))) for _ in range(70)]
         masks *= 30  # 2160 faults: one whole batch and a part
-        got = list(mask_batches(V, iter(masks)))
-        assert [len(alive) for alive in got] == [V, V]
-        for alive, lo in zip(got, (0, SCAN_BATCH)):
-            assert alive == oracle_lanes(masks[lo : lo + SCAN_BATCH], V)
+        for count in (0, 1, SCAN_BATCH, SCAN_BATCH + 1):
+            # ids in a shuffled order: a lane reads its fault as a set
+            faults = [rng.sample(ids_of(m), m.bit_count()) for m in masks[:count]]
+            got = list(id_batches(V, iter(faults)))
+            assert [len(alive) for alive in got] == [V] * -(-count // SCAN_BATCH)
+            for alive, lo in zip(got, range(0, count, SCAN_BATCH)):
+                assert alive == oracle_lanes(masks[lo : min(count, lo + SCAN_BATCH)], V)
 
     def test_transpose_memory_is_bounded_by_the_lanes(self):
-        # one batch of 2048 random 20-sets on AG_7, whose lane ints take 0.65 MB;
-        # a transpose of the whole batch at once peaked at 11 MB
+        # one batch of 2048 random 20-sets on AG_7, whose lane ints take 0.65 MB
         V = build_ag(7).vertex_count
         rng = random.Random(7)
-        masks = [mask_of(rng.sample(range(V), 20)) for _ in range(SCAN_BATCH)]
+        faults = [rng.sample(range(V), 20) for _ in range(SCAN_BATCH)]
         tracemalloc.start()
         try:
-            next(mask_batches(V, masks))
+            next(id_batches(V, faults))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

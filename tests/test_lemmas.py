@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from kappalab import lemmas
-from kappalab.connectivity import common_neighbors, ids_of, is_independent, mask_of, neighborhood
+from kappalab.connectivity import common_neighbors, ids_of, is_independent, neighborhood
 from kappalab.graphs import CayleyGraph, build_ag, build_splitstar
 from kappalab.kappa import witness_families
 from kappalab.lemmas import (
@@ -338,10 +338,12 @@ class TestSampling:
                 for _ in range(3):  # consecutive draws share one stream
                     assert sample_subset(rng, V, k) == sorted(oracle_sample_subset(ref, V, k))
                 assert rng.getstate() == ref.getstate()
-                for chunk in (0, 63):
+                for chunk in (0, 63):  # the draws of a sampled census chunk, in draw order
+                    rng = random.Random(lemmas._chunk_seed(seed, chunk))
                     ref = random.Random(lemmas._chunk_seed(seed, chunk))
-                    want = [mask_of(oracle_sample_subset(ref, V, k)) for _ in range(20)]
-                    assert list(lemmas._sampled_fault_masks(seed, chunk, 20, V, k)) == want
+                    want = [oracle_sample_subset(ref, V, k) for _ in range(20)]
+                    assert list(itertools.islice(lemmas._subset_draws(rng, V, k), 20)) == want
+                    assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("V,k", [(5, 6), (5, -1), (0, 1)])
     def test_size_outside_range_raises(self, V, k):
@@ -365,12 +367,12 @@ class TestSampling:
                       verify_neighbor_bounds(s5, 2, trials=300, seed=4)]
             return [json.dumps(r.to_json_dict()) for r in census + bounds]
 
-        def oracle_masks(rng, V, k):
+        def oracle_draws(rng, V, k):
             while True:
-                yield mask_of(oracle_sample_subset(rng, V, k))
+                yield oracle_sample_subset(rng, V, k)
 
         got = [reports(1), reports(2)]
-        monkeypatch.setattr(lemmas, "_subset_masks", oracle_masks)
+        monkeypatch.setattr(lemmas, "_subset_draws", oracle_draws)
         assert got == [reports(1), reports(2)]
 
 
