@@ -28,7 +28,8 @@ fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
 on each batch and yields the mask of each fault leaving enough components,
 read back from the vertices dead in its lane. The level scan stops at the
 first hit; the hyper scan and the cut-structure censuses of
-:mod:`kappalab.lemmas` are censuses, all run by :func:`run_census`. On a
+:mod:`kappalab.lemmas` are censuses, all run by :func:`run_census`; the
+hyper scan's rule and the n >= 5 rules are :class:`SmallParts` data. On a
 graph that :func:`left_translations` accepts, :func:`scan_tasks` keeps only
 the fault sets through vertex 0; a census examines only the least of each
 orbit's translates among them, weighted by the orbit size
@@ -47,6 +48,7 @@ from enum import Enum
 from ._parallel import TaskRunner, worker_state
 from .connectivity import (
     ComponentReport,
+    Shape,
     component_masks,
     component_report,
     components,
@@ -69,6 +71,7 @@ __all__ = [
     "CutRefusal",
     "KappaResult",
     "HyperScanReport",
+    "SmallParts",
     "verify_cut",
     "kappa_ell_exhaustive",
     "kappa_ell_witness_search",
@@ -299,6 +302,21 @@ def scan_hits(G: BitGraph, batches, need: int):
             flagged ^= low
             # one binary digit per vertex, vertex V-1 first: "1" where it is dead
             yield int("".join(["0" if a & low else "1" for a in reversed(alive)]), 2)
+
+
+@dataclass(frozen=True)
+class SmallParts:
+    """A census rule as data, called as ``(G, report)``: a cut into two
+    components is allowed iff either one's shape is in ``pair``, a cut into
+    more iff the shapes after the largest, in report order, are in ``parts``."""
+
+    pair: frozenset[Shape]
+    parts: frozenset[tuple[Shape, ...]]
+
+    def __call__(self, G: BitGraph, report: ComponentReport) -> bool:
+        if report.count == 2:
+            return not self.pair.isdisjoint(report.shapes)
+        return report.shapes[1:] in self.parts
 
 
 def _signature(report: ComponentReport) -> str:
@@ -665,13 +683,8 @@ class HyperScanReport:
         }
 
 
-def _allow_every_cut(G, report) -> bool:
-    return True
-
-
-def _not_a_singleton_split(report: ComponentReport) -> bool:
-    """True unless the cut leaves exactly two components, the smaller a singleton."""
-    return report.count != 2 or report.sizes()[1] != 1
+# the hyper scan's rule: a cut may only split off one singleton
+_SINGLETON_SPLIT = SmallParts(frozenset({Shape.SINGLETON}), frozenset())
 
 
 def hyper_connectivity_scan(
@@ -684,8 +697,9 @@ def hyper_connectivity_scan(
 
     ``kappa`` is the known connectivity (callers may pass
     :func:`~kappalab.connectivity.vertex_connectivity`). This is the census
-    of the one level kappa: every cut is allowed, and a cut is exceptional
-    unless it leaves exactly two components, the smaller a singleton. On
+    of the one level kappa under the rule ``SmallParts({singleton}, {})``:
+    its exceptional cuts are the cuts that rule refuses, every cut except
+    those leaving exactly two components, one a singleton. On
     AG_n and S_n^2 only the least translate through vertex 0 of each cut is
     examined, counted once per member of its orbit; the exceptional cuts are
     expanded to orbits.
@@ -698,8 +712,8 @@ def hyper_connectivity_scan(
         return HyperScanReport(kappa, 0, 0, 0, (), inconclusive=True)
     translations = left_translations(G)
     tasks = scan_tasks(V, kappa, translations is not None)
-    _, outcome_counts, exceptional, evaluated = run_census(
-        G, _allow_every_cut, _not_a_singleton_split, translations, level_faults, tasks, jobs
+    exceptional, outcome_counts, _, evaluated = run_census(
+        G, _SINGLETON_SPLIT, None, translations, level_faults, tasks, jobs
     )
     disconnecting = sum(c for _, c in outcome_counts)
     return HyperScanReport(kappa, total, disconnecting, disconnecting - len(exceptional),

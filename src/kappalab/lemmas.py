@@ -10,7 +10,9 @@ every instance, sampled runs draw seeded uniform fault sets (Fisher-Yates
 prefix, drawing from the stream exactly as ``random.Random.randrange`` does)
 and are reported as "consistent (sampled)", never as proved.
 
-The cut-structure rules live here; their censuses, exhaustive and sampled,
+The cut-structure rules live here, keyed by family and bound (``ag-6n-20``:
+faults of up to 6n-20 vertices); the n >= 5 rules are rows of
+:class:`kappalab.kappa.SmallParts`. Their censuses, exhaustive and sampled,
 run on the census reducer :func:`kappalab.kappa.run_census`, which the hyper
 scan shares. This module only hands it the sampled faults: the vertex ids of
 each draw of the one sampler, :func:`_subset_draws`, set its lane through
@@ -49,6 +51,7 @@ from .graphs import (
 from .kappa import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    SmallParts,
     id_batches,
     kappa_formula,
     level_faults,
@@ -57,7 +60,7 @@ from .kappa import (
     scan_tasks,
     witness_families,
 )
-from .perms import Perm, exchange, rot_minus, rot_plus
+from .perms import Perm, rot_minus, rot_plus
 
 SAMPLE_CHUNKS = 64  # fixed partition of sampled trials; independent of jobs
 
@@ -394,28 +397,27 @@ def verify_claims_123(G: CayleyGraph) -> VerificationReport:
 
 @dataclass(frozen=True)
 class CutStructureRule:
-    """Allowed component structures for faults up to a size bound."""
+    """Allowed component structures for faults of up to a*n - b vertices, n >= min_n."""
 
-    key: str
     family: str
-    bound: Callable[[int], int]
+    a: int
+    b: int
     min_n: int
     allowed: Callable[[CayleyGraph, ComponentReport], bool]
-    # marks outcomes worth listing individually (the n=4 4-cycle clauses)
+    # marks the allowed outcomes listed one by one, those of the n=4 clauses:
+    # a 4-cycle, and on S_4^2 also a 2-path or the split into two 8-vertex halves
     exceptional: Callable[[ComponentReport], bool] | None = None
+
+    @property
+    def key(self) -> str:
+        return f"{self.family}-{self.a}n-{self.b}"
 
     def covers(self, family: str, n: int, bound: int) -> bool:
         """True iff the rule speaks for faults of up to ``bound`` vertices of G_n."""
-        return self.family == family and n >= self.min_n and self.bound(n) >= bound
+        return self.family == family and n >= self.min_n and self.a * n - self.b >= bound
 
 
-def _shapes_small(report: ComponentReport) -> list[Shape]:
-    # all but the largest component (report is sorted largest first)
-    return list(report.shapes[1:])
-
-
-def _two_with_small(report, allowed_shapes) -> bool:
-    return report.count == 2 and any(s in allowed_shapes for s in report.shapes)
+_S, _E, _P, _C3 = Shape.SINGLETON, Shape.EDGE, Shape.TWO_PATH, Shape.THREE_CYCLE
 
 
 def _rule_ag_4n11(G, report) -> bool:
@@ -435,40 +437,15 @@ def _rule_ag_4n11(G, report) -> bool:
     return False
 
 
-def _rule_ag_6n20(G, report) -> bool:
-    if _two_with_small(report, (Shape.SINGLETON, Shape.EDGE)):
-        return True
-    return report.count == 3 and _shapes_small(report) == [Shape.SINGLETON] * 2
-
-
-def _rule_ag_6n19(G, report) -> bool:
-    if _two_with_small(report, (Shape.SINGLETON, Shape.EDGE, Shape.TWO_PATH)):
-        return True
-    return report.count == 3 and _shapes_small(report) == [Shape.SINGLETON] * 2
-
-
-def _rule_ag_8n29(G, report) -> bool:
-    if _two_with_small(
-        report, (Shape.SINGLETON, Shape.EDGE, Shape.TWO_PATH, Shape.THREE_CYCLE)
-    ):
-        return True
-    if report.count == 3:
-        small = sorted(s.value for s in _shapes_small(report))
-        return small in (["singleton", "singleton"], ["edge", "singleton"])
-    if report.count == 4:
-        return _shapes_small(report) == [Shape.SINGLETON] * 3
-    return False
-
-
 def _rule_s2_4n8(G, report) -> bool:
     n, fsize = G.n, report.fault_mask.bit_count()
     if report.count == 2:
         if Shape.SINGLETON in report.shapes:
             return True
         if Shape.EDGE in report.shapes:
-            edge_comp = report.components[report.shapes.index(Shape.EDGE)]
-            u, v = edge_comp
-            if exchange(G.label(u)) == G.label(v):
+            u, v = report.components[report.shapes.index(Shape.EDGE)]
+            a = G.labels[u]
+            if G.labels[v] == (a[1], a[0]) + a[2:]:  # the 2-exchange edge
                 return fsize == 4 * n - 8
             # surviving 3-rotation edge: one shared neighbor, at most one
             # fault vertex beyond N({u, v})
@@ -485,7 +462,7 @@ def _rule_s2_4n8(G, report) -> bool:
                 return True
         return False
     if report.count == 3:
-        if _shapes_small(report) != [Shape.SINGLETON] * 2:
+        if report.shapes[1:] != (_S, _S):
             return False
         u = report.components[1][0]
         v = report.components[2][0]
@@ -508,22 +485,23 @@ def _s2_exceptional(report: ComponentReport) -> bool:
     return report.count == 2 and report.sizes() == (8, 8)
 
 
+# the n >= 5 rules as data: the shapes a two-way cut may split off, and the
+# parts a wider cut may leave beside the largest component (shared by S_n^2)
+_SMALL_6N20 = SmallParts(frozenset({_S, _E}), frozenset({(_S, _S)}))
+_SMALL_6N19 = SmallParts(frozenset({_S, _E, _P}), frozenset({(_S, _S)}))
+_SMALL_8N29 = SmallParts(frozenset({_S, _E, _P, _C3}),
+                         frozenset({(_S, _S), (_E, _S), (_S, _S, _S)}))
+
 CUT_RULES: dict[str, CutStructureRule] = {
     rule.key: rule
     for rule in (
-        CutStructureRule(
-            "ag-4n-11", FAMILY_AG, lambda n: 4 * n - 11, 4, _rule_ag_4n11,
-            exceptional=_has_four_cycle,
-        ),
-        CutStructureRule("ag-6n-20", FAMILY_AG, lambda n: 6 * n - 20, 5, _rule_ag_6n20),
-        CutStructureRule("ag-6n-19", FAMILY_AG, lambda n: 6 * n - 19, 5, _rule_ag_6n19),
-        CutStructureRule("ag-8n-29", FAMILY_AG, lambda n: 8 * n - 29, 5, _rule_ag_8n29),
-        CutStructureRule(
-            "s2-4n-8", FAMILY_SPLIT_STAR, lambda n: 4 * n - 8, 4, _rule_s2_4n8,
-            exceptional=_s2_exceptional,
-        ),
-        CutStructureRule("s2-6n-17", FAMILY_SPLIT_STAR, lambda n: 6 * n - 17, 5, _rule_ag_6n19),
-        CutStructureRule("s2-8n-25", FAMILY_SPLIT_STAR, lambda n: 8 * n - 25, 5, _rule_ag_8n29),
+        CutStructureRule(FAMILY_AG, 4, 11, 4, _rule_ag_4n11, _has_four_cycle),
+        CutStructureRule(FAMILY_AG, 6, 20, 5, _SMALL_6N20),
+        CutStructureRule(FAMILY_AG, 6, 19, 5, _SMALL_6N19),
+        CutStructureRule(FAMILY_AG, 8, 29, 5, _SMALL_8N29),
+        CutStructureRule(FAMILY_SPLIT_STAR, 4, 8, 4, _rule_s2_4n8, _s2_exceptional),
+        CutStructureRule(FAMILY_SPLIT_STAR, 6, 17, 5, _SMALL_6N19),
+        CutStructureRule(FAMILY_SPLIT_STAR, 8, 25, 5, _SMALL_8N29),
     )
 }
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -11,7 +12,8 @@ import pytest
 from kappalab import cli
 from kappalab.cli import main
 
-TABLE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "table_reference.csv"
+ROOT = Path(__file__).resolve().parents[1]
+TABLE_REFERENCE = ROOT / "perfbench" / "table_reference.csv"
 UNRECOGNIZED = "unrecognized arguments"  # argparse: the subcommand has no such option
 
 
@@ -404,6 +406,12 @@ class TestTable:
         assert path.read_bytes() == TABLE_REFERENCE.read_bytes()
 
 
+def checkout_env():
+    """The environment for a child Python that imports this checkout's kappalab."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -411,6 +419,7 @@ class TestEntryPoint:
              "--format", "dimacs"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "p edge 3 3"
@@ -427,7 +436,8 @@ class TestEntryPoint:
             " jobs=1)\n"
             "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=checkout_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
