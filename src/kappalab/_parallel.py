@@ -63,18 +63,9 @@ class TaskRunner:
     def first_hit(self, fn, tasks: list):
         """The result of the first task (in task order) returning non-None.
 
-        Dispatches in waves so a hit stops the scan early; the wave size only
-        affects how much work is wasted, never which hit is returned.
+        Results are read in task order, so a later task that finishes first
+        never changes which hit is returned. Pool workers may run ahead of the
+        hit; :meth:`close` terminates them.
         """
-        if self._pool is None:
-            for task in tasks:
-                res = fn(task)
-                if res is not None:
-                    return res
-            return None
-        wave = 4 * self.jobs
-        for lo in range(0, len(tasks), wave):
-            for res in self._pool.map(fn, tasks[lo : lo + wave], chunksize=1):
-                if res is not None:
-                    return res
-        return None
+        results = map(fn, tasks) if self._pool is None else self._pool.imap(fn, tasks)
+        return next((res for res in results if res is not None), None)

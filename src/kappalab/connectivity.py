@@ -17,11 +17,13 @@ listed by ``ids_of`` (both from :mod:`kappalab.graphs`). A :class:`ComponentRepo
 keeps its fault and component masks and lists their ids only when ``fault`` or
 ``components`` is read.
 Every bit walk here peels 64-bit words, so its Python steps are linear in the
-mask length.
+mask length. :func:`vertex_connectivity` runs BFS augmenting paths on G's
+vertex-split network, built once per call.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -263,62 +265,46 @@ def is_independent(G: BitGraph, S: Iterable[int]) -> bool:
     return not any(S.intersection(G.neighbors[v]) for v in S)
 
 
-def _max_vertex_disjoint_paths(G: BitGraph, s: int, t: int, cap: int) -> int:
+def _split_network(G: BitGraph) -> list[dict[int, int]]:
+    """G's unit-capacity vertex-split network, as residual capacities per node.
+
+    Vertex v becomes v_in = 2v and v_out = 2v + 1 with an arc v_in -> v_out,
+    and every edge uv gives arcs u_out -> v_in and v_out -> u_in; each arc is
+    listed with its reverse at capacity 0.
+    """
+    network = []
+    for v, ns in enumerate(G.neighbors):
+        network.append({2 * v + 1: 1, **{2 * u + 1: 0 for u in ns}})  # v_in
+        network.append({2 * v: 0, **{2 * u: 1 for u in ns}})  # v_out
+    return network
+
+
+def _max_vertex_disjoint_paths(network: list[dict[int, int]], s: int, t: int, cap: int) -> int:
     """Number of internally vertex-disjoint s-t paths, stopping at ``cap``.
 
-    Unit-capacity vertex-split network solved by BFS augmenting paths: node v
-    becomes v_in = 2v, v_out = 2v + 1 with an arc of capacity one between
-    them; every edge contributes arcs u_out -> v_in and v_out -> u_in.
+    Runs BFS augmenting paths from s_out to t_in on a copy of ``network``
+    (from :func:`_split_network`), taking one unit along each path and
+    crediting its reverse arcs.
     """
-    # node encoding: v_in = 2v, v_out = 2v + 1
-    split_used = [False] * G.vertex_count
-    edge_flow: set[tuple[int, int]] = set()  # (u, v) means arc u_out -> v_in carries flow
+    residual = [dict(arcs) for arcs in network]
     start, goal = 2 * s + 1, 2 * t
     flow = 0
     while flow < cap:
-        parent: dict[int, int] = {start: start}
+        parent = {start: start}
         queue = deque([start])
-        found = False
-        while queue and not found:
+        while queue and goal not in parent:
             node = queue.popleft()
-            v, is_out = divmod(node, 2)
-            if is_out:
-                for u in G.neighbors[v]:
-                    nxt = 2 * u
-                    if nxt not in parent and (v, u) not in edge_flow:
-                        parent[nxt] = node
-                        if nxt == goal:
-                            found = True
-                            break
-                        queue.append(nxt)
-                if not found and split_used[v] and 2 * v not in parent:
-                    parent[2 * v] = node  # residual of the saturated split arc
-                    queue.append(2 * v)
-            else:
-                if not split_used[v] and 2 * v + 1 not in parent:
-                    parent[2 * v + 1] = node
-                    queue.append(2 * v + 1)
-                for u in G.neighbors[v]:
-                    if (u, v) in edge_flow and 2 * u + 1 not in parent:
-                        parent[2 * u + 1] = node  # cancel flow on u_out -> v_in
-                        queue.append(2 * u + 1)
-        if not found:
+            for nxt, free in residual[node].items():
+                if free and nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        if goal not in parent:
             return flow
         node = goal
         while node != start:
             prev = parent[node]
-            pv, p_out = divmod(prev, 2)
-            nv, n_out = divmod(node, 2)
-            if p_out and not n_out:
-                if pv == nv:
-                    split_used[pv] = False
-                else:
-                    edge_flow.add((pv, nv))
-            else:
-                if pv == nv:
-                    split_used[pv] = True
-                else:
-                    edge_flow.discard((nv, pv))
+            residual[prev][node] -= 1
+            residual[node][prev] += 1
             node = prev
         flow += 1
     return flow
@@ -338,14 +324,10 @@ def vertex_connectivity(G: BitGraph) -> int:
     best = G.degree(v0)
     if best == V - 1:
         return V - 1
-    non_neighbors = [
-        t for t in range(V) if t != v0 and not G.has_edge(v0, t)
-    ]
-    for t in non_neighbors:
-        best = min(best, _max_vertex_disjoint_paths(G, v0, t, best))
-    ns = G.neighbors[v0]
-    for a in range(len(ns)):
-        for b in range(a + 1, len(ns)):
-            if not G.has_edge(ns[a], ns[b]):
-                best = min(best, _max_vertex_disjoint_paths(G, ns[a], ns[b], best))
+    pairs = [(v0, t) for t in range(V) if t != v0 and not G.has_edge(v0, t)]
+    pairs += [(a, b) for a, b in itertools.combinations(G.neighbors[v0], 2)
+              if not G.has_edge(a, b)]
+    network = _split_network(G)
+    for s, t in pairs:
+        best = min(best, _max_vertex_disjoint_paths(network, s, t, best))
     return best

@@ -165,15 +165,9 @@ class CayleyGraph(BitGraph):
     @cached_property
     def translations(self) -> LeftTranslations | None:
         """:func:`left_translations` of this graph, checked on first use only."""
-        if self.family not in (FAMILY_AG, FAMILY_SPLIT_STAR):
-            return None
-        if self.labels != _vertex_symbols(self.family, self.n):
-            return None
-        translations = LeftTranslations(self.labels)
-        moves = _moves(self.family, self.n)
-        if self.neighbors != _neighbor_ids(self.labels, translations.id_of, moves):
-            return None
-        return translations
+        if self.family not in (FAMILY_AG, FAMILY_SPLIT_STAR) or self != _build(self.family, self.n):
+            return None  # dataclass equality: neighbors, family, n and labels
+        return LeftTranslations(self.labels)
 
 
 def _moves(family: str, n: int) -> tuple[list, list]:
@@ -291,11 +285,11 @@ class LeftTranslations:
 def left_translations(G: BitGraph) -> LeftTranslations | None:
     """G's left translations if G is exactly AG_n or S_n^2 as built here, else None.
 
-    Checks the labels and ``neighbors`` against the family's generators
-    vertex by vertex, so an edited copy of a built graph, or a
-    plain BitGraph, gets None. Memory stays linear in the vertex count. The
-    graph is immutable, so the answer is kept on it (``CayleyGraph.translations``)
-    and later scans of the same graph object do not check again.
+    Compares G with a fresh build of its family and n, so an edited copy of a
+    built graph, or a plain BitGraph, gets None. Memory stays linear in the
+    vertex count. The graph is immutable, so the answer is kept on it
+    (``CayleyGraph.translations``) and later scans of the same graph object do
+    not check again.
     """
     return G.translations if isinstance(G, CayleyGraph) else None
 

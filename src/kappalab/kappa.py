@@ -415,6 +415,8 @@ def kappa_ell_exhaustive(
         raise ValueError("ell must be >= 2")
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     V = G.vertex_count
     rule_k = max(V - ell + 1, 0)
     cap = rule_k if k_max is None else min(k_max, rule_k)
@@ -535,6 +537,8 @@ def kappa_ell_witness_search(
         raise ValueError("ell must be >= 2")
     if B < 1:
         raise ValueError("B must be >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     full = G.full_mask
     best: tuple[int, tuple[int, ...]] | None = None  # (size, fault)
     explored = 0  # complete witness families visited
@@ -707,6 +711,8 @@ def hyper_connectivity_scan(
     V = G.vertex_count
     if not 0 <= kappa <= V:
         raise ValueError(f"kappa must be between 0 and {V}, got {kappa}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     total = math.comb(V, kappa)
     if total > budget:
         return HyperScanReport(kappa, 0, 0, 0, (), inconclusive=True)

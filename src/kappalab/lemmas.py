@@ -571,6 +571,8 @@ def verify_cut_structure(
         raise ValueError(f"fault size bound must be between 0 and {V}, got {size_bound}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if mode == "exhaustive":
         checked = sum(math.comb(V, k) for k in range(size_bound + 1))
         if checked > budget:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kappalab.connectivity import (
     Shape,
+    _max_vertex_disjoint_paths,
+    _split_network,
     common_neighbors,
     component_masks,
     component_report,
@@ -415,6 +417,33 @@ class TestVertexConnectivity:
             assert brute is not None
             assert vertex_connectivity(G) == brute
 
+
+    def test_max_flow_matches_networkx_on_random_graphs(self):
+        # 200 graphs of 2-12 vertices at four densities; some are disconnected
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.connectivity import local_node_connectivity
+
+        rng = random.Random(20261019)
+        pairs = 0
+        for i in range(200):
+            n = 2 + int(rng.random() * 11)
+            density = (0.15, 0.3, 0.5, 0.8)[i % 4]
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            G = BitGraph.from_edges(n, edges)
+            H = nx.Graph()
+            H.add_nodes_from(range(n))
+            H.add_edges_from(edges)
+            assert vertex_connectivity(G) == nx.node_connectivity(H)
+            network = _split_network(G)
+            for s, t in itertools.combinations(range(n), 2):
+                if G.has_edge(s, t):
+                    continue
+                want = local_node_connectivity(H, s, t)
+                for cap in range(max(want - 1, 0), want + 2):
+                    assert _max_vertex_disjoint_paths(network, s, t, cap) == min(want, cap)
+                pairs += 1
+            assert network == _split_network(G)  # every pair works on its own copy
+        assert pairs > 2000
 
 class TestCountComponents:
     def test_early_exit_lower_bounds_true_count(self, ag4):

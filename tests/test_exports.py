@@ -34,6 +34,18 @@ def test_trace_targets_are_callables(tracer):
         assert callable(fn), f"{mod_name}.{fn_name}"
 
 
+def test_traced_runner_overrides_exist(tracer):
+    # a renamed TaskRunner method would leave its traced override unread,
+    # and parallel.tasks would read 0 while --trace 1 still runs
+    from kappalab._parallel import TaskRunner
+
+    traced = tracer.Tracer(kappalab)._traced_runner_class(TaskRunner)
+    overrides = [name for name in vars(traced) if not name.startswith("_")]
+    assert {"map", "first_hit", "close"} <= set(overrides)
+    missing = [name for name in overrides if not callable(getattr(TaskRunner, name, None))]
+    assert missing == []
+
+
 @pytest.mark.parametrize("mod_name", MODULES)
 def test_all_names_exist(mod_name):
     module = importlib.import_module(f"kappalab.{mod_name}")

@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import itertools
 import math
+import multiprocessing
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -75,6 +77,13 @@ def paper_set(G, size):
 PAPER_ROWS = [(FAMILY_AG, n) for n in range(4, MAX_N_AG + 1)] + [
     (FAMILY_SPLIT_STAR, n) for n in range(4, MAX_N_SPLIT_STAR + 1)
 ]
+
+
+def sleep_then(task):
+    """A pool task: sleep ``task[0]`` seconds, then return ``task[1]``."""
+    delay, value = task
+    time.sleep(delay)
+    return value
 
 
 def complete_graph(n):
@@ -174,6 +183,24 @@ class TestExhaustive:
             assert runner.jobs == runner._pool._processes == 2
             assert runner.map(abs, [-3, 4, -5]) == [3, 4, 5]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_hit_is_first_in_task_order(self, monkeypatch, jobs):
+        # on the pool, task 1 returns while task 0 still sleeps; task 0's hit wins
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        tasks = [(0.3, "first"), (0.0, "second"), (0.0, None)]
+        with _parallel.TaskRunner(jobs, None) as runner:
+            assert (runner._pool is not None) == (jobs > 1)
+            assert runner.first_hit(sleep_then, tasks) == "first"
+            assert runner.first_hit(sleep_then, [(0.0, None)] * 5) is None
+            assert runner.first_hit(sleep_then, []) is None
+        assert multiprocessing.active_children() == []
+
+    def test_pool_scan_leaves_no_child(self, s4, monkeypatch):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        res = kappa_ell_exhaustive(s4, 4, jobs=2)
+        assert (res.value, res.explored) == (10, 2_628_908)
+        assert multiprocessing.active_children() == []
+
     def test_rejects_ell_below_two(self, ag4):
         with pytest.raises(ValueError):
             kappa_ell_exhaustive(ag4, 1)
@@ -181,6 +208,19 @@ class TestExhaustive:
     def test_rejects_negative_k_max(self, ag4):
         with pytest.raises(ValueError, match="k_max"):
             kappa_ell_exhaustive(ag4, 3, k_max=-1)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda G: kappa_ell_exhaustive(G, 3, budget=-1),
+    lambda G: hyper_connectivity_scan(G, 4, budget=-1),
+    lambda G: verify_cut_structure(G, 3, "ag-4n-11", budget=-1),
+    lambda G: kappa_ell_witness_search(G, 3, budget=-1),
+], ids=["exhaustive", "hyper-scan", "census", "witness-search"])
+def test_negative_budget_is_rejected(ag4, scan, monkeypatch):
+    # raised before any work: no scan runner starts
+    monkeypatch.setattr(_parallel.TaskRunner, "__init__", None)
+    with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+        scan(ag4)
 
 
 class TestWitnessSearch:
