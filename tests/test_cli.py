@@ -292,6 +292,26 @@ class TestVerify:
         d2.pop("jobs")
         assert d1 == d2
 
+    def test_dead_worker_is_an_io_error(self, capsys, monkeypatch):
+        # a worker killed mid-census (say by the OOM killer) ends the run with
+        # exit 1 instead of hanging it
+        from kappalab import kappa
+        caller, census = os.getpid(), kappa._census
+
+        def census_or_exit(task):
+            if os.getpid() != caller:
+                os._exit(9)
+            return census(task)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kappa, "_census", census_or_exit)
+        code = main(["verify", "--lemma", "cut-structure", "--family", "ag", "--n", "5",
+                     "--bound", "10", "--mode", "sampled", "--trials", "2000", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "kappalab: worker 1 exited before task 1\n"
+
 
 class TestTable:
     def read_rows(self, out):
@@ -425,21 +445,26 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[0] == "p edge 3 3"
 
     def test_jobs1_scans_load_neither_numpy_nor_multiprocessing(self):
-        # either would add import time and memory to runs that never use it
+        # each would add import time and memory to runs that never use it;
+        # forked scans need pickle but never multiprocessing
         code = (
-            "import sys, kappalab\n"
+            "import os, sys, kappalab\n"
             "G = kappalab.build_ag(4)\n"
             "kappalab.kappa_ell_exhaustive(G, 3, jobs=1)\n"
             "kappalab.hyper_connectivity_scan(G, 4, jobs=1)\n"
             "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', jobs=1)\n"
             "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', mode='sampled', trials=500,"
             " jobs=1)\n"
-            "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))\n"
+            "print(sorted({'numpy', 'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+            "os.cpu_count = lambda: 2\n"
+            "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', mode='sampled', trials=500,"
+            " jobs=2)\n"
+            "print(sorted({'multiprocessing'} & set(sys.modules)), 'pickle' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=checkout_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "[] True"]
 
 
 class TestConfigResolution:

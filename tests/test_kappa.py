@@ -2,7 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
-import multiprocessing
+import os
 import random
 import time
 import tracemalloc
@@ -80,10 +80,21 @@ PAPER_ROWS = [(FAMILY_AG, n) for n in range(4, MAX_N_AG + 1)] + [
 
 
 def sleep_then(task):
-    """A pool task: sleep ``task[0]`` seconds, then return ``task[1]``."""
+    """A runner task: sleep ``task[0]`` seconds, then return ``task[1]``."""
     delay, value = task
     time.sleep(delay)
     return value
+
+
+def pid_of(task):
+    """A runner task: the pid of the process that runs it."""
+    return os.getpid()
+
+
+def assert_no_child():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def complete_graph(n):
@@ -178,14 +189,18 @@ class TestExhaustive:
         assert res1 == res2 == res3
 
     def test_pool_is_capped_at_the_core_count(self, monkeypatch):
+        # two cores: the caller and one forked child run the tasks
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         with _parallel.TaskRunner(50, None) as runner:
-            assert runner.jobs == runner._pool._processes == 2
+            assert runner.jobs == 2
             assert runner.map(abs, [-3, 4, -5]) == [3, 4, 5]
+            pids = set(runner.map(pid_of, range(10)))
+        assert len(pids) == 2 and os.getpid() in pids
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_hit_is_first_in_task_order(self, monkeypatch, jobs):
-        # on the pool, task 1 returns while task 0 still sleeps; task 0's hit wins
+        # at jobs=2 the child returns task 1 while the caller sleeps on task 0;
+        # task 0's hit wins
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         tasks = [(0.3, "first"), (0.0, "second"), (0.0, None)]
         with _parallel.TaskRunner(jobs, None) as runner:
@@ -193,13 +208,13 @@ class TestExhaustive:
             assert runner.first_hit(sleep_then, tasks) == "first"
             assert runner.first_hit(sleep_then, [(0.0, None)] * 5) is None
             assert runner.first_hit(sleep_then, []) is None
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_pool_scan_leaves_no_child(self, s4, monkeypatch):
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         res = kappa_ell_exhaustive(s4, 4, jobs=2)
         assert (res.value, res.explored) == (10, 2_628_908)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_rejects_ell_below_two(self, ag4):
         with pytest.raises(ValueError):
@@ -221,6 +236,78 @@ def test_negative_budget_is_rejected(ag4, scan, monkeypatch):
     monkeypatch.setattr(_parallel.TaskRunner, "__init__", None)
     with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
         scan(ag4)
+
+
+def raise_on_three(task):
+    if task == 3:
+        raise ValueError("task 3")
+    return task
+
+
+def exit_unless_in(task):
+    """A runner task that ends every process but the one whose pid is ``task``."""
+    if os.getpid() != task:
+        os._exit(9)
+    return task
+
+
+def square_if_multiple_of_seven(task):
+    return task * task if task % 7 == 0 else None
+
+
+class TestTaskRunner:
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+
+    def test_child_exception_is_reraised_in_the_caller(self):
+        # task 3 runs in the child (process 3 % 2)
+        with _parallel.TaskRunner(2, None) as runner:
+            with pytest.raises(ValueError, match="^task 3$"):
+                runner.map(raise_on_three, range(6))
+            with pytest.raises(ValueError, match="^task 3$"):
+                runner.first_hit(raise_on_three, [None, None, None, 3])
+        assert_no_child()
+
+    def test_dead_child_is_an_error_not_a_hang(self):
+        with _parallel.TaskRunner(2, None) as runner:
+            with pytest.raises(ChildProcessError, match="^worker 1 exited before task 1$"):
+                runner.map(exit_unless_in, [os.getpid()] * 4)
+        assert_no_child()
+
+    def test_first_hit_does_not_wait_for_children(self):
+        # the child finds the hit (task 1), then sleeps on task 3; the caller
+        # never runs its own sleeping task 2
+        tasks = [(0.0, None), (0.0, "hit"), (60.0, None), (60.0, None)]
+        t0 = time.perf_counter()
+        with _parallel.TaskRunner(2, None) as runner:
+            assert runner.first_hit(sleep_then, tasks) == "hit"
+        assert time.perf_counter() - t0 < 20
+        assert_no_child()
+
+    def test_forks_at_most_one_child_per_task_after_the_first(self, monkeypatch):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+        forked, fork = [], os.fork
+        monkeypatch.setattr(_parallel.os, "fork", lambda: forked.append(1) or fork())
+        with _parallel.TaskRunner(4, None) as runner:
+            for k, children in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3), (9, 3)]:
+                forked.clear()
+                pids = set(runner.map(pid_of, range(k)))
+                assert len(forked) == children
+                assert len(pids) == min(k, 4)
+        assert_no_child()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_jobs_equal_one(self, seed):
+        rng = random.Random(seed)
+        tasks = [rng.randrange(-30, 30) for _ in range(rng.randrange(12))]
+        results = []
+        for jobs in (1, 2):
+            with _parallel.TaskRunner(jobs, None) as runner:
+                results.append((runner.map(square_if_multiple_of_seven, tasks),
+                                runner.first_hit(square_if_multiple_of_seven, tasks)))
+        assert results[0] == results[1]
+        assert_no_child()
 
 
 class TestWitnessSearch:
