@@ -18,11 +18,11 @@ l components or fewer than l vertices. Three tiers:
 Every subset scan (the exhaustive tier, the hyper scan and the
 cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine in lane
 space, ``SCAN_BATCH`` faults at a time, one bit lane per fault.
-:func:`level_tasks` splits a level into jobs-independent tasks;
-:func:`lex_batches` hands over a task's faults in lex order already
-transposed, from the combination patterns of the lex recursion, and
-:func:`id_batches` sets the lanes of any other stream of faults from their
-vertex ids.
+:func:`scan_tasks` splits a level into jobs-independent tasks, each an
+interval of lex ranks; :func:`lex_batches` hands over an interval's faults
+in lex order already transposed, from the combination patterns of the lex
+recursion, and :func:`id_batches` sets the lanes of any other stream of
+faults from their vertex ids.
 A batch is a list of V ints, bit j of ``alive[v]`` set iff vertex v survives
 fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
 on each batch and yields the mask of each fault leaving enough components,
@@ -31,8 +31,9 @@ first hit; the hyper scan and the cut-structure censuses of
 :mod:`kappalab.lemmas` are censuses, all run by :func:`run_census`; the
 hyper scan's rule and the n >= 5 rules are :class:`SmallParts` data. On a
 graph that :func:`left_translations` accepts, :func:`scan_tasks` keeps only
-the fault sets through vertex 0; a census examines only the least of each
-orbit's translates among them, weighted by the orbit size
+the fault sets through vertex 0, the first C(V-1, k-1) ranks of level k; a
+census examines only the least of each orbit's translates among them,
+weighted by the orbit size
 (:meth:`~kappalab.graphs.LeftTranslations.orbit_size`). ``explored`` and
 ``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
 """
@@ -53,7 +54,6 @@ from .connectivity import (
     component_report,
     components,
     ids_of,
-    mask_of,
     neighborhood,
     split_lanes,
 )
@@ -62,6 +62,7 @@ from .perms import Perm, rot_minus, rot_plus
 
 DEFAULT_BUDGET = 10**8  # explored-subset cap, not wall time
 SCAN_BATCH = 2048  # lanes per split_lanes call in scan_hits
+TASK_RANKS = 16 * SCAN_BATCH  # lex ranks per scan task
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -82,7 +83,6 @@ __all__ = [
     "remark_independent_set",
     "hyper_connectivity_scan",
     "comb_lex_rank",
-    "level_tasks",
     "scan_tasks",
     "lex_batches",
     "id_batches",
@@ -181,39 +181,16 @@ def comb_lex_rank(comb: tuple[int, ...], n: int) -> int:
     return rank
 
 
-def level_tasks(V: int, k: int, target: int = 200_000) -> list[tuple[tuple[int, ...], int]]:
-    """Split lex enumeration of C(V, k) into (prefix, start) tasks.
-
-    Task (p, s) covers all combinations p + c with c drawn from
-    range(s, V); tasks are in lex order and independent of the job count.
-    """
-    tasks: list[tuple[tuple[int, ...], int]] = []
-    stack = [((), 0, k)]
-    while stack:
-        prefix, start, remaining = stack.pop()
-        if remaining <= 1 or math.comb(V - start, remaining) <= target:
-            tasks.append((prefix, start))
-        else:  # pushed last to first, so the smallest next element is split first
-            stack += [
-                (prefix + (nxt,), nxt + 1, remaining - 1)
-                for nxt in range(V - remaining, start - 1, -1)
-            ]
-    return tasks
-
-
-def scan_tasks(V: int, k: int, pinned: bool) -> list[tuple[int, tuple[int, ...], int]]:
-    """The ``(k, prefix, start)`` tasks of a level-k scan, in lex order.
+def scan_tasks(V: int, k: int, pinned: bool) -> list[tuple[int, int, int]]:
+    """The ``(k, lo, hi)`` tasks of a level-k scan: consecutive lex-rank
+    intervals ``lo..hi-1`` of the k-subsets of ``range(V)``, each
+    ``TASK_RANKS`` long but the last, independent of the job count.
 
     ``pinned`` (k >= 1) keeps the k-sets containing vertex 0: the first
-    ``C(V-1, k-1)`` sets of the level in lex order, split like level k-1 of
-    the other V-1 vertices.
+    ``C(V-1, k-1)`` ranks of the level.
     """
-    if pinned and k:
-        return [
-            (k, (0,) + tuple(v + 1 for v in prefix), start + 1)
-            for prefix, start in level_tasks(V - 1, k - 1)
-        ]
-    return [(k, prefix, start) for prefix, start in level_tasks(V, k)]
+    total = math.comb(V - 1, k - 1) if pinned and k else math.comb(V, k)
+    return [(k, lo, min(lo + TASK_RANKS, total)) for lo in range(0, total, TASK_RANKS)]
 
 
 def _lex_patterns(pats: list[int], e0: int, m: int, r: int, lo: int, hi: int, at: int, blocks):
@@ -253,21 +230,17 @@ def _block(m: int, r: int, blocks) -> list[int]:
     return pats
 
 
-def lex_batches(V: int, k: int, prefix: tuple[int, ...], start: int):
-    """The faults of the level task ``(k, prefix, start)`` as lane batches, in lex order.
-
-    A batch is ``SCAN_BATCH`` consecutive lex ranks: a prefix vertex is dead in
-    every lane, any other vertex below ``start`` alive, and vertex
-    ``start + i`` dead in the lanes whose combination holds i.
-    """
-    m, r = V - start, k - len(prefix)
-    pmask, total, blocks = mask_of(prefix), math.comb(m, r), {}
-    for lo in range(0, total, SCAN_BATCH):
-        count = min(SCAN_BATCH, total - lo)
-        lanes, pats = (1 << count) - 1, [0] * m
-        if r:
-            _lex_patterns(pats, 0, m, r, lo, lo + count, 0, blocks)
-        yield [0 if pmask >> v & 1 else lanes for v in range(start)] + [lanes ^ p for p in pats]
+def lex_batches(V: int, k: int, lo: int, hi: int):
+    """The k-subsets of ``range(V)`` of lex ranks ``lo..hi-1`` as lane batches
+    of ``SCAN_BATCH`` consecutive ranks, in order: vertex v is dead in the
+    lanes whose set holds v."""
+    blocks = {}
+    for start in range(lo, hi, SCAN_BATCH):
+        end = min(start + SCAN_BATCH, hi)
+        lanes, pats = (1 << (end - start)) - 1, [0] * V
+        if k:
+            _lex_patterns(pats, 0, V, k, start, end, 0, blocks)
+        yield [lanes ^ p for p in pats]
 
 
 def id_batches(V: int, faults):
@@ -354,10 +327,9 @@ def _census(task):
 
 
 def level_faults(task):
-    """The lane batches and fault count of the level task ``(k, prefix, start)``."""
-    k, prefix, start = task
-    V = worker_state()["graph"].vertex_count
-    return lex_batches(V, *task), math.comb(V - start, k - len(prefix))
+    """The lane batches and fault count of the level task ``(k, lo, hi)``."""
+    _, lo, hi = task
+    return lex_batches(worker_state()["graph"].vertex_count, *task), hi - lo
 
 
 def run_census(G: BitGraph, rule, exceptional, translations, faults, tasks, jobs: int):
@@ -439,7 +411,8 @@ def kappa_ell_exhaustive(
                     ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap,
                     inconclusive_above=k - 1, evaluated=evaluated,
                 )
-            hit = runner.first_hit(_scan_level_worker, scan_tasks(V, k, pinned))
+            tasks = scan_tasks(V, k, pinned)
+            hit = runner.first_hit(_scan_level_worker, tasks)
             if hit is not None:
                 # a pinned hit holds vertex 0, so its lex rank is the same in both scans
                 before_hit = comb_lex_rank(hit, V) + 1
@@ -452,7 +425,7 @@ def kappa_ell_exhaustive(
                     evaluated=evaluated,
                 )
             explored += level
-            evaluated += math.comb(V - 1, k - 1) if pinned and k else level
+            evaluated += tasks[-1][2]  # the pinned or whole level's rank count
     return KappaResult(
         ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap, evaluated=evaluated
     )

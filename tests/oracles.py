@@ -49,15 +49,10 @@ def oracle_disconnected(G, fault_masks):
     ]
 
 
-def lex_fault_masks(V: int, k: int, prefix: tuple[int, ...], start: int):
-    """Fault masks of the level-task ``(k, prefix, start)``, in lex order.
-
-    There are ``math.comb(V - start, k - len(prefix))`` of them.
-    """
-    pmask = mask_of(prefix)
-    bits = [1 << v for v in range(start, V)]
-    for comb in itertools.combinations(bits, k - len(prefix)):
-        yield pmask + sum(comb)
+def lex_fault_masks(V: int, k: int, lo: int, hi: int):
+    """Fault masks of the level task ``(k, lo, hi)``: the k-subsets of
+    ``range(V)`` of lex ranks ``lo..hi-1``, in lex order."""
+    return map(mask_of, itertools.islice(itertools.combinations(range(V), k), lo, hi))
 
 
 def oracle_lanes(masks, V):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -28,6 +29,7 @@ from kappalab.kappa import (
     DEFAULT_BUDGET,
     PAPER_SETS,
     SCAN_BATCH,
+    TASK_RANKS,
     BudgetExceeded,
     CutRefusal,
     CutWitness,
@@ -39,7 +41,6 @@ from kappalab.kappa import (
     kappa_ell_exhaustive,
     kappa_ell_witness_search,
     lex_batches,
-    level_tasks,
     remark_independent_set,
     scan_hits,
     scan_tasks,
@@ -679,11 +680,12 @@ class TestScanHits:
 
     @pytest.mark.parametrize("need, limit", [(2, 3), (3, 3), (4, 0)])
     def test_lex_source_matches_mask_source(self, s4, need, limit):
-        # the pinned task (7, (0,), 1) has a dead prefix vertex below its start;
-        # (7, (1,), 2) keeps vertex 0 alive below its start and kills vertex 1.
+        # the pinned tasks hold vertex 0 dead in every lane: the first
+        # C(23, 6) = 100,947 ranks; unpinned task 3 (ranks 98,304..131,071)
+        # crosses that lead, so vertex 0 is dead in its first lanes, alive after.
         # A reducer reads the first ``limit`` components of a hit itself.
         adj, full = s4.adj_masks, s4.full_mask
-        for task in scan_tasks(24, 7, True)[:3] + scan_tasks(24, 7, False)[1:2]:
+        for task in scan_tasks(24, 7, True) + scan_tasks(24, 7, False)[3:4]:
             faults = list(lex_fault_masks(24, *task))
             want = [
                 (fm, component_masks(adj, full ^ fm, limit))
@@ -699,16 +701,20 @@ class TestScanHits:
             list(scan_hits(ag4, id_batches(12, [()]), 1))
 
 
+def assert_lanes_match(V, got, masks):
+    """Lane batches ``got`` equal ``oracle_lanes`` of ``masks``, ``SCAN_BATCH`` at a time."""
+    want = [masks[i : i + SCAN_BATCH] for i in range(0, len(masks), SCAN_BATCH)]
+    assert len(got) == len(want)
+    for alive, masks in zip(got, want):
+        assert alive == oracle_lanes(masks, V)
+
+
 def assert_source_matches_oracle(V, task, batches=None):
     """The lane batches of a task (the first ``batches`` of them, or all) equal
     ``oracle_lanes`` of the oracle lex source."""
     limit = None if batches is None else batches * SCAN_BATCH
     masks = list(itertools.islice(lex_fault_masks(V, *task), limit))
-    want = [masks[i : i + SCAN_BATCH] for i in range(0, len(masks), SCAN_BATCH)]
-    got = list(itertools.islice(lex_batches(V, *task), batches))
-    assert len(got) == len(want)
-    for alive, masks in zip(got, want):
-        assert alive == oracle_lanes(masks, V)
+    assert_lanes_match(V, list(itertools.islice(lex_batches(V, *task), batches)), masks)
 
 
 class TestLexBatches:
@@ -722,27 +728,38 @@ class TestLexBatches:
     def test_every_task_of_24_starts_like_oracle(self):
         # all 2**24 subsets would take minutes through the oracle: the first
         # batch of every task covers its pattern head, levels 0..3 and
-        # 21..24 are checked whole, and the boundary tasks below check seams
+        # 21..24 are checked whole, and the boundary tasks below check seams.
+        # One pass of the oracle's combinations per level: skipping to each
+        # task's lo afresh would cost the sum of the task starts.
         for k in range(25):
             whole = k <= 3 or k >= 21
             for pinned in (False, True):
+                combs = itertools.combinations(range(24), k)
                 for task in scan_tasks(24, k, pinned):
-                    assert_source_matches_oracle(24, task, None if whole else 1)
+                    _, lo, hi = task
+                    n = hi - lo if whole else min(hi - lo, SCAN_BATCH)
+                    head = list(itertools.islice(combs, n))
+                    collections.deque(itertools.islice(combs, hi - lo - n), 0)  # the rest
+                    got = list(itertools.islice(lex_batches(24, *task), None if whole else 1))
+                    assert_lanes_match(24, got, list(map(mask_of, head)))
 
     @pytest.mark.parametrize(
         "V, task",
         [
-            (SCAN_BATCH - 1, (1, (), 0)),  # r = 1: lanes SCAN_BATCH - 1 .. + 1
-            (SCAN_BATCH, (1, (), 0)),
-            (SCAN_BATCH + 1, (1, (), 0)),
-            (SCAN_BATCH + 3, (3, (0, 1), 3)),  # SCAN_BATCH lanes after a prefix
-            (70, (3, (0,), 6)),  # C(64, 2) = 2016 lanes, one whole kept block
-            (70, (3, (0,), 5)),  # C(65, 2) = 2080 lanes
-            (27, (4, (0,), 2)),  # C(25, 3) = 2300 lanes
-            (30, (5, (1, 3), 4)),  # prefix vertex 1, vertices 0 and 2 alive in every lane
-            (20, (20, (), 0)),  # r = m
-            (20, (3, (2, 5, 9), 10)),  # r = 0
-            (40, (6, (), 1)),  # C(39, 6) = 3.3M lanes: the first batches only
+            (SCAN_BATCH - 1, (1, 0, SCAN_BATCH - 1)),  # k = 1: SCAN_BATCH - 1 .. + 1 ranks
+            (SCAN_BATCH, (1, 0, SCAN_BATCH)),
+            (SCAN_BATCH + 1, (1, 0, SCAN_BATCH + 1)),
+            # SCAN_BATCH ranks of {0, 1, x}, x >= 3: vertices 0 and 1 dead in every lane, 2 alive
+            (SCAN_BATCH + 3, (3, 1, SCAN_BATCH + 1)),
+            # {0, a, b}, a, b >= 6: C(64, 2) = 2016 ranks, one whole kept block
+            (70, (3, 330, 2346)),
+            (70, (3, 266, 2446)),  # crosses the element-0 lead C(69, 2) = 2346 in batch 2
+            (27, (4, 1000, 3300)),  # crosses the element-0 lead C(26, 3) = 2600 in batch 1
+            (30, (5, 26676, 29276)),  # {1, 3, ...}: 1 and 3 dead, 0 and 2 alive in every lane
+            (20, (20, 0, 1)),  # k = V
+            (20, (0, 0, 1)),  # k = 0
+            (40, (6, 2_000_001, 3_838_380)),  # deep inside C(40, 6): the first batches only
+            (20, (3, 358, 359)),  # one rank, the set {2, 5, 9}
         ],
     )
     def test_boundary_tasks_match_oracle(self, V, task):
@@ -754,7 +771,8 @@ class TestLexBatches:
                 assert comb_lex_rank(comb, n) == idx
 
     def test_large_graph_scan_recurses_only_r_deep(self):
-        # level 2 of AG_7 is one task with r = 1 and m = 2519 lanes
+        # pinned level 2 of AG_7 is one task of C(2519, 1) = 2519 ranks, all
+        # below the element-0 lead, so the lex recursion is r = 2 deep
         res = kappa_ell_exhaustive(build_ag(7), 2, k_max=2)
         assert (res.value, res.explored, res.evaluated) == (None, 3_176_461, 2_521)
 
@@ -852,15 +870,19 @@ class TestEnumerationHelpers:
             for idx, comb in enumerate(itertools.combinations(range(n), k)):
                 assert comb_lex_rank(comb, n) == idx
 
-    def test_level_tasks_cover_exactly(self):
-        V, k = 9, 4
-        tasks = level_tasks(V, k, target=10)
-        assert len(tasks) > 1
-        seen = []
-        for prefix, start in tasks:
-            for comb in itertools.combinations(range(start, V), k - len(prefix)):
-                seen.append(prefix + comb)
-        assert seen == list(itertools.combinations(range(V), k))
+    def test_scan_tasks_tile_each_level(self):
+        # every level of V <= 12 is one task; the larger levels split
+        assert TASK_RANKS % SCAN_BATCH == 0  # so every lane batch but a level's last is full
+        levels = [(V, k) for V in range(13) for k in range(V + 1)] + [(24, 7), (24, 12), (60, 4)]
+        for V, k in levels:
+            for pinned in (False, True):
+                tasks = scan_tasks(V, k, pinned)
+                total = math.comb(V - 1, k - 1) if pinned and k else math.comb(V, k)
+                assert {t[0] for t in tasks} == {k}
+                assert [lo for _, lo, _ in tasks] == [0] + [hi for _, _, hi in tasks[:-1]]
+                assert tasks[-1][2] == total
+                assert all(hi - lo == TASK_RANKS for _, lo, hi in tasks[:-1])
+                assert 0 < tasks[-1][2] - tasks[-1][1] <= TASK_RANKS
 
     def test_level_tasks_leave_no_garbage_cycles(self):
         gc.collect()
