@@ -19,16 +19,23 @@ def worker_state():
     return _STATE
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class TaskRunner:
     """Runs task functions in the caller and in up to ``jobs - 1`` forked
-    children, at most one process per core. Tasks read shared immutable inputs
-    from :func:`worker_state`; children pipe back their pickled results."""
+    children, at most one process per usable CPU. Tasks read shared immutable
+    inputs from :func:`worker_state`; children pipe back their pickled results."""
 
     def __init__(self, jobs: int, state):
         global _STATE
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.jobs = jobs = min(jobs, os.cpu_count() or 1)
+        self.jobs = jobs = min(jobs, usable_cpus())
         self._pool = jobs - 1 if jobs > 1 else None  # children forked per call
         _STATE = state
 

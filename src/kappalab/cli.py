@@ -15,6 +15,7 @@ import math
 import os
 import sys
 
+from ._parallel import usable_cpus
 from .graphs import (
     FAMILY_AG,
     FAMILY_SPLIT_STAR,
@@ -114,9 +115,7 @@ def _default_budget() -> int:
 def _resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
+    return jobs or usable_cpus()
 
 
 def _canonical_json(payload: dict) -> str:
@@ -154,13 +153,8 @@ def cmd_kappa(args) -> int:
         result = kappa_ell_exhaustive(
             G, args.ell, k_max=args.k_max, budget=args.budget, jobs=args.jobs
         )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "family": args.family,
-        "n": args.n,
-        "jobs": args.jobs,
-        **result.to_json_dict(G),
-    }
+    payload = {"schema": SCHEMA_VERSION, "family": args.family, "n": args.n, "jobs": args.jobs,
+               **result.to_json_dict(G)}
     _write_output(_canonical_json(payload), args.output)
     return EXIT_INCONCLUSIVE if result.inconclusive else EXIT_OK
 
@@ -304,11 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a lemma verifier")
     add_common(p_verify)
-    p_verify.add_argument(
-        "--lemma",
-        required=True,
-        choices=list(LEMMAS),
-    )
+    p_verify.add_argument("--lemma", required=True, choices=list(LEMMAS))
     p_verify.add_argument("--set-size", type=int)
     p_verify.add_argument("--bound", type=int)
     p_verify.add_argument("--rule", choices=sorted(CUT_RULES))

@@ -21,8 +21,8 @@ space, ``SCAN_BATCH`` faults at a time, one bit lane per fault.
 :func:`scan_tasks` splits a level into jobs-independent tasks, each an
 interval of lex ranks; :func:`lex_batches` hands over an interval's faults
 in lex order already transposed, from the combination patterns of the lex
-recursion, and :func:`id_batches` sets the lanes of any other stream of
-faults from their vertex ids.
+recursion. The sampled censuses bring their own lane source, which marks
+each vertex in its draw's lane as it is drawn (``lemmas._draw_lanes``).
 A batch is a list of V ints, bit j of ``alive[v]`` set iff vertex v survives
 fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
 on each batch and yields the mask of each fault leaving enough components,
@@ -40,7 +40,6 @@ weighted by the orbit size
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -85,7 +84,6 @@ __all__ = [
     "comb_lex_rank",
     "scan_tasks",
     "lex_batches",
-    "id_batches",
     "scan_hits",
     "level_faults",
     "run_census",
@@ -241,20 +239,6 @@ def lex_batches(V: int, k: int, lo: int, hi: int):
         if k:
             _lex_patterns(pats, 0, V, k, start, end, 0, blocks)
         yield [lanes ^ p for p in pats]
-
-
-def id_batches(V: int, faults):
-    """Faults on ``range(V)``, each given as its vertex ids, as lane batches,
-    ``SCAN_BATCH`` at a time, in order: vertex v is dead in lane j iff fault j holds v."""
-    faults = iter(faults)
-    while batch := list(itertools.islice(faults, SCAN_BATCH)):
-        dead = [0] * V
-        for j, fault in enumerate(batch):
-            bit = 1 << j
-            for v in fault:
-                dead[v] |= bit
-        lanes = (1 << len(batch)) - 1
-        yield [lanes ^ d for d in dead]
 
 
 def scan_hits(G: BitGraph, batches, need: int):
@@ -533,16 +517,8 @@ def kappa_ell_witness_search(
     value, fault = best
     witness = verify_cut(G, fault, ell)
     assert isinstance(witness, CutWitness)
-    return KappaResult(
-        ell,
-        value,
-        Tier.WITNESS_UPPER_BOUND,
-        witness,
-        explored=explored,
-        budget=budget,
-        k_max=value,
-        part_size_bound=B,
-    )
+    return KappaResult(ell, value, Tier.WITNESS_UPPER_BOUND, witness, explored=explored,
+                       budget=budget, k_max=value, part_size_bound=B)
 
 
 def remark_independent_set(G: CayleyGraph, size: int, i: int, j: int) -> tuple[int, ...]:
@@ -619,14 +595,10 @@ def construct_paper_cut(G: CayleyGraph, ell: int) -> CutWitness:
     fault = tuple(sorted(neighborhood(G, S)))
     expected = kappa_formula(G.family, ell, n)
     if len(fault) != expected:
-        raise AssertionError(
-            f"paper cut size {len(fault)} != formula value {expected}"
-        )
+        raise AssertionError(f"paper cut size {len(fault)} != formula value {expected}")
     witness = verify_cut(G, fault, ell)
     if isinstance(witness, CutRefusal):
-        raise AssertionError(
-            f"paper cut left only {witness.component_count} components"
-        )
+        raise AssertionError(f"paper cut left only {witness.component_count} components")
     return witness
 
 

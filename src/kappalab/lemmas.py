@@ -14,11 +14,11 @@ The cut-structure rules live here, keyed by family and bound (``ag-6n-20``:
 faults of up to 6n-20 vertices); the n >= 5 rules are rows of
 :class:`kappalab.kappa.SmallParts`. Their censuses, exhaustive and sampled,
 run on the census reducer :func:`kappalab.kappa.run_census`, which the hyper
-scan shares. This module only hands it the sampled faults: the vertex ids of
-each draw of the one sampler, :func:`_subset_draws`, set its lane through
-:func:`kappalab.kappa.id_batches`. The exhaustive
-neighborhood bounds read their independent sets, the part-size-1 witness
-families, from :func:`kappalab.kappa.witness_families`.
+scan shares. This module only hands it the sampled faults: :func:`_draw_lanes`
+makes the draws of the sampler :func:`_subset_draws` and sets each drawn
+vertex's lane bit as it is drawn, never listing a draw's ids. The
+neighborhood bounds read their independent sets, sampled, from
+:func:`_subset_draws`, or, exhaustive, from :func:`kappalab.kappa.witness_families`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .graphs import (
 )
 from .kappa import (
     DEFAULT_BUDGET,
+    SCAN_BATCH,
     BudgetExceeded,
     SmallParts,
-    id_batches,
     kappa_formula,
     level_faults,
     remark_independent_set,
@@ -228,6 +228,32 @@ def _subset_draws(rng: random.Random, V: int, k: int):
             r += i
             pool[i], pool[r] = pool[r], pool[i]
         yield pool[:k]
+
+
+def _draw_lanes(rng: random.Random, V: int, k: int, trials: int):
+    """The first ``trials`` draws of :func:`_subset_draws`, from the same stream, as
+    lane batches of ``SCAN_BATCH`` draws: vertex v is dead in lane j iff draw j holds v.
+    Each vertex sets its lane bit as it is drawn; step i writes only position r, as
+    no later step reads position i."""
+    getrandbits = rng.getrandbits
+    steps = [(i, V - i, (V - i).bit_length()) for i in range(k)]
+    ids = list(range(V))
+    for start in range(0, trials, SCAN_BATCH):
+        dead = [0] * V
+        lanes = (1 << min(SCAN_BATCH, trials - start)) - 1
+        bit = 1
+        while bit <= lanes:
+            pool = ids[:]
+            for i, n, b in steps:
+                r = getrandbits(b)
+                while r >= n:
+                    r = getrandbits(b)
+                r += i
+                v = pool[r]
+                pool[r] = pool[i]
+                dead[v] |= bit
+            bit <<= 1
+        yield [lanes ^ d for d in dead]
 
 
 def sample_subset(rng: random.Random, V: int, k: int) -> list[int]:
@@ -519,8 +545,7 @@ def _sampled_faults(task):
     ``(size, seed, chunk, trials)``, read by :func:`~kappalab.kappa.run_census`."""
     size, seed, chunk, trials = task
     V = worker_state()["graph"].vertex_count
-    draws = _subset_draws(random.Random(_chunk_seed(seed, chunk)), V, size)
-    return id_batches(V, itertools.islice(draws, trials)), trials
+    return _draw_lanes(random.Random(_chunk_seed(seed, chunk)), V, size, trials), trials
 
 
 def _violation_payload(G, report: ComponentReport) -> dict:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from kappalab.graphs import build_ag, build_splitstar
@@ -26,3 +28,11 @@ def s4():
 @pytest.fixture(scope="session")
 def s5():
     return build_splitstar(5)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` lets this process run on n CPUs, as ``taskset`` or a cpuset would."""
+    def allow(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return allow

@@ -11,6 +11,7 @@ import random
 
 from kappalab.connectivity import mask_of
 from kappalab.graphs import BitGraph
+from kappalab.kappa import SCAN_BATCH
 from kappalab.perms import even_rank, even_unrank, exchange, rank, rot_minus, rot_plus, unrank
 
 
@@ -68,6 +69,28 @@ def oracle_sample_subset(rng: random.Random, V: int, k: int):
         j = rng.randrange(i, V)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+def oracle_draw_lanes(rng: random.Random, V: int, k: int, trials: int):
+    """``trials`` draws of :func:`oracle_sample_subset` as the lane batches of
+    :func:`oracle_lanes`, ``SCAN_BATCH`` draws each."""
+    masks = [mask_of(oracle_sample_subset(rng, V, k)) for _ in range(trials)]
+    for lo in range(0, trials, SCAN_BATCH):
+        yield oracle_lanes(masks[lo : lo + SCAN_BATCH], V)
+
+
+def id_batches(V: int, faults):
+    """Faults on ``range(V)``, each given as its vertex ids, as lane batches,
+    ``SCAN_BATCH`` at a time, in order: vertex v is dead in lane j iff fault j holds v."""
+    faults = iter(faults)
+    while batch := list(itertools.islice(faults, SCAN_BATCH)):
+        dead = [0] * V
+        for j, fault in enumerate(batch):
+            bit = 1 << j
+            for v in fault:
+                dead[v] |= bit
+        lanes = (1 << len(batch)) - 1
+        yield [lanes ^ d for d in dead]
 
 
 def oracle_shape(adj, comp):

@@ -292,7 +292,7 @@ class TestVerify:
         d2.pop("jobs")
         assert d1 == d2
 
-    def test_dead_worker_is_an_io_error(self, capsys, monkeypatch):
+    def test_dead_worker_is_an_io_error(self, capsys, cpus, monkeypatch):
         # a worker killed mid-census (say by the OOM killer) ends the run with
         # exit 1 instead of hanging it
         from kappalab import kappa
@@ -303,7 +303,7 @@ class TestVerify:
                 os._exit(9)
             return census(task)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cpus(2)
         monkeypatch.setattr(kappa, "_census", census_or_exit)
         code = main(["verify", "--lemma", "cut-structure", "--family", "ag", "--n", "5",
                      "--bound", "10", "--mode", "sampled", "--trials", "2000", "--jobs", "2"])
@@ -456,7 +456,7 @@ class TestEntryPoint:
             "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', mode='sampled', trials=500,"
             " jobs=1)\n"
             "print(sorted({'numpy', 'multiprocessing', 'pickle'} & set(sys.modules)))\n"
-            "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "kappalab.verify_cut_structure(G, 5, 'ag-4n-11', mode='sampled', trials=500,"
             " jobs=2)\n"
             "print(sorted({'multiprocessing'} & set(sys.modules)), 'pickle' in sys.modules)\n"
@@ -505,13 +505,18 @@ class TestConfigResolution:
         assert captured.out == ""
         assert captured.err == "kappalab: budget must be >= 0, got -1\n"
 
-    def test_jobs_zero_auto_detect_recorded(self, capsys):
-        import os
-
+    def test_jobs_zero_auto_detect_recorded(self, capsys, cpus):
+        cpus(3)
         code, out = run_cli(capsys, "kappa", "--family", "ag", "--n", "4",
                             "--ell", "3", "--jobs", "0")
         assert code == 0
-        assert json.loads(out)["jobs"] == (os.cpu_count() or 1)
+        assert json.loads(out)["jobs"] == 3
+
+    def test_jobs_zero_counts_the_affinity_mask(self, cpus, monkeypatch):
+        # a host of 64 CPUs, of which a cpuset or taskset leaves this process one
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cpus(1)
+        assert cli._resolve_jobs(0) == 1
 
     @pytest.mark.parametrize("argv", [
         ("kappa", "--family", "ag", "--n", "4", "--ell", "3", "--witness", "--jobs", "-4"),

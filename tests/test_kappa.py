@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from kappalab import _parallel
+from kappalab import _parallel, lemmas
 from kappalab.connectivity import (
     common_neighbors,
     component_masks,
@@ -37,7 +37,6 @@ from kappalab.kappa import (
     comb_lex_rank,
     construct_paper_cut,
     hyper_connectivity_scan,
-    id_batches,
     kappa_ell_exhaustive,
     kappa_ell_witness_search,
     lex_batches,
@@ -53,6 +52,7 @@ from kappalab.perms import Perm
 
 from .oracles import (
     adjacency_dict,
+    id_batches,
     lex_fault_masks,
     oracle_lanes,
     oracle_components,
@@ -189,9 +189,9 @@ class TestExhaustive:
         res3 = kappa_ell_exhaustive(ag4, 3, jobs=5)
         assert res1 == res2 == res3
 
-    def test_pool_is_capped_at_the_core_count(self, monkeypatch):
+    def test_pool_is_capped_at_the_core_count(self, cpus):
         # two cores: the caller and one forked child run the tasks
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        cpus(2)
         with _parallel.TaskRunner(50, None) as runner:
             assert runner.jobs == 2
             assert runner.map(abs, [-3, 4, -5]) == [3, 4, 5]
@@ -199,10 +199,10 @@ class TestExhaustive:
         assert len(pids) == 2 and os.getpid() in pids
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_first_hit_is_first_in_task_order(self, monkeypatch, jobs):
+    def test_first_hit_is_first_in_task_order(self, cpus, jobs):
         # at jobs=2 the child returns task 1 while the caller sleeps on task 0;
         # task 0's hit wins
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        cpus(2)
         tasks = [(0.3, "first"), (0.0, "second"), (0.0, None)]
         with _parallel.TaskRunner(jobs, None) as runner:
             assert (runner._pool is not None) == (jobs > 1)
@@ -211,8 +211,8 @@ class TestExhaustive:
             assert runner.first_hit(sleep_then, []) is None
         assert_no_child()
 
-    def test_pool_scan_leaves_no_child(self, s4, monkeypatch):
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    def test_pool_scan_leaves_no_child(self, s4, cpus):
+        cpus(2)
         res = kappa_ell_exhaustive(s4, 4, jobs=2)
         assert (res.value, res.explored) == (10, 2_628_908)
         assert_no_child()
@@ -258,8 +258,14 @@ def square_if_multiple_of_seven(task):
 
 class TestTaskRunner:
     @pytest.fixture(autouse=True)
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    def two_cores(self, cpus):
+        cpus(2)
+
+    def test_jobs_are_capped_at_the_affinity_mask(self, cpus, monkeypatch):
+        # a host of 64 CPUs, of which a cpuset or taskset leaves this process one
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 64)
+        cpus(1)
+        assert _parallel.TaskRunner(4, None).jobs == 1
 
     def test_child_exception_is_reraised_in_the_caller(self):
         # task 3 runs in the child (process 3 % 2)
@@ -286,8 +292,8 @@ class TestTaskRunner:
         assert time.perf_counter() - t0 < 20
         assert_no_child()
 
-    def test_forks_at_most_one_child_per_task_after_the_first(self, monkeypatch):
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+    def test_forks_at_most_one_child_per_task_after_the_first(self, cpus, monkeypatch):
+        cpus(4)
         forked, fork = [], os.fork
         monkeypatch.setattr(_parallel.os, "fork", lambda: forked.append(1) or fork())
         with _parallel.TaskRunner(4, None) as runner:
@@ -778,7 +784,8 @@ class TestLexBatches:
 
 
 class TestMaskBatches:
-    """``id_batches``, the lane source of faults given as vertex ids."""
+    """Lane sources of faults given as vertex ids: the test copy ``id_batches``
+    and the sampled-census writer ``lemmas._draw_lanes``."""
 
     @pytest.mark.parametrize("V", [1, 9, 255, 256, 257, 600])
     def test_lanes_are_the_transposed_masks(self, V):
@@ -795,13 +802,12 @@ class TestMaskBatches:
                 assert alive == oracle_lanes(masks[lo : min(count, lo + SCAN_BATCH)], V)
 
     def test_transpose_memory_is_bounded_by_the_lanes(self):
-        # one batch of 2048 random 20-sets on AG_7, whose lane ints take 0.65 MB
+        # one batch of 2048 draws of 20 vertices on AG_7, whose lane ints take 0.65 MB
         V = build_ag(7).vertex_count
         rng = random.Random(7)
-        faults = [rng.sample(range(V), 20) for _ in range(SCAN_BATCH)]
         tracemalloc.start()
         try:
-            next(id_batches(V, faults))
+            next(lemmas._draw_lanes(rng, V, 20, SCAN_BATCH))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

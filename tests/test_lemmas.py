@@ -7,7 +7,7 @@ import pytest
 from kappalab import lemmas
 from kappalab.connectivity import common_neighbors, ids_of, is_independent, neighborhood
 from kappalab.graphs import CayleyGraph, build_ag, build_splitstar
-from kappalab.kappa import witness_families
+from kappalab.kappa import SCAN_BATCH, witness_families
 from kappalab.lemmas import (
     CUT_RULES,
     rule_for,
@@ -22,7 +22,7 @@ from kappalab.perms import Perm
 
 import random
 
-from .oracles import oracle_sample_subset, oracle_witness_families
+from .oracles import oracle_draw_lanes, oracle_sample_subset, oracle_witness_families
 
 
 def vid(G, text):
@@ -372,8 +372,30 @@ class TestSampling:
                 yield oracle_sample_subset(rng, V, k)
 
         got = [reports(1), reports(2)]
+        # the censuses draw through _draw_lanes, the neighborhood bounds through _subset_draws
+        monkeypatch.setattr(lemmas, "_draw_lanes", oracle_draw_lanes)
         monkeypatch.setattr(lemmas, "_subset_draws", oracle_draws)
         assert got == [reports(1), reports(2)]
+
+    @pytest.mark.parametrize("V", [1, 2, 7, 8, 60, 72, 360])
+    def test_lane_writer_follows_the_randrange_stream(self, V):
+        for k in sorted({0, 1, V - 1, V}):
+            for trials in (0, 1, SCAN_BATCH, SCAN_BATCH + 1):
+                rng, ref = random.Random(V + k), random.Random(V + k)
+                got = list(lemmas._draw_lanes(rng, V, k, trials))
+                assert got == list(oracle_draw_lanes(ref, V, k, trials))
+                assert rng.getstate() == ref.getstate()
+
+    def test_census_chunks_of_several_batches_match_the_oracle(self, ag4, monkeypatch):
+        # 64 * 2048 + 65 trials: every chunk holds two batches, the second partial
+        def report():
+            return verify_cut_structure(ag4, 5, "ag-4n-11", mode="sampled",
+                                        trials=64 * SCAN_BATCH + 65, seed=3).to_json_dict()
+
+        got = report()
+        assert got["exceptional_faults"] and got["outcome_counts"]
+        monkeypatch.setattr(lemmas, "_draw_lanes", oracle_draw_lanes)
+        assert got == report()
 
 
 class TestRemarkLargerSizes:
