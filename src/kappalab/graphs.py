@@ -7,12 +7,11 @@ Both families are Cayley graphs on permutations of ``1..n``:
 * S_n^2: vertices are all permutations, edges the rotations plus the
   2-exchange g_12; (2n-3)-regular with n! vertices.
 
-Generators act on positions, so the build applies each g_i+ (and g_12 on
-S_n^2) to the symbol tuples as a fixed position table, one column of
-neighbour ids per generator. g_i- is g_i+ applied twice, so its column is the
-g_i+ column composed with itself, with no relabel pass of its own. Vertex ids
-are lex positions (among the even permutations for AG), equal to
-``even_rank`` / ``rank``, so id 0 is
+Generators act on positions, so each g_i+ (and g_12 on S_n^2) is a position
+table, and one ``zip`` over the bytes rows of its positions (row j holds
+symbol j of every label) yields its column of neighbour ids; a g_i- column is
+its g_i+ column composed with itself. Vertex ids are lex positions (among the
+even permutations for AG), equal to ``even_rank`` / ``rank``, so id 0 is
 always the identity. ``CayleyGraph.labels`` keeps those symbol tuples, and
 ``label(v)`` wraps one in a :class:`~kappalab.perms.Perm` only when a caller
 asks. Left multiplication relabels symbols and commutes with the generators,
@@ -33,7 +32,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .perms import Perm, even_rank, exchange, rank, rot_plus, symbols_text
@@ -91,13 +89,18 @@ def ids_of(mask: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class BitGraph:
     """Immutable undirected graph over vertices ``0..V-1``: sorted neighbour
-    tuples, and ``adj_masks``, one bitmask per vertex, built on first read."""
+    tuples; ``adj_masks`` (a bitmask per vertex) and ``connected`` on first read."""
 
     neighbors: tuple[tuple[int, ...], ...]
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
         return tuple(map(mask_of, self.neighbors))
+
+    @cached_property
+    def connected(self) -> bool:
+        from .connectivity import _walk  # connectivity imports this module
+        return len(_walk(self, ())) <= 1
 
     @property
     def vertex_count(self) -> int:
@@ -170,18 +173,17 @@ class CayleyGraph(BitGraph):
         return LeftTranslations(self.labels)
 
 
-def _moves(family: str, n: int) -> tuple[list, list]:
+def _moves(family: str, n: int) -> list[list[int]]:
     """The g_i+ (3 <= i <= n), then the family's other generators (g_12 on
-    S_n^2), as position tables on symbol tuples. Each g_i- is g_i+ applied
-    twice, so it needs no table of its own."""
+    S_n^2), as 0-based position tables: ``p g`` is ``p`` read at g's table.
+    Each g_i- is g_i+ applied twice, so it needs no table of its own."""
     identity = Perm.identity(n)
     images = [rot_plus(identity, i) for i in range(3, n + 1)]
     if family == FAMILY_SPLIT_STAR:
         images.append(exchange(identity))
     if identity in images:
         raise AssertionError("generator produced a self-loop")
-    tables = [itemgetter(*(s - 1 for s in image.symbols)) for image in images]
-    return tables[: n - 2], tables[n - 2 :]
+    return [[s - 1 for s in image.symbols] for image in images]
 
 
 def _vertex_symbols(family: str, n: int) -> tuple[tuple[int, ...], ...]:
@@ -198,20 +200,20 @@ def _vertex_symbols(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.compress(perms, even))
 
 
-def _neighbor_ids(symbols, id_of: dict, moves) -> tuple[tuple[int, ...], ...]:
-    # one column of ids per generator; distinct generators give distinct
-    # neighbours. A g_i- column is its g_i+ column composed with itself.
-    rotations, others = moves
-    plus = [list(map(id_of.__getitem__, map(g, symbols))) for g in rotations]
-    columns = plus + [map(c.__getitem__, c) for c in plus]
-    columns += [map(id_of.__getitem__, map(g, symbols)) for g in others]
-    return tuple(map(tuple, map(sorted, zip(*columns))))
+def _columns(symbols, id_of: dict, tables) -> list[list[int]]:
+    """For each position table, the ids of all labels read at its positions, in id order."""
+    rows = list(map(bytes, zip(*symbols)))  # rows[j][v] is the symbol at position j of v
+    return [list(map(id_of.__getitem__, zip(*(rows[j] for j in table)))) for table in tables]
 
 
 def _build(family: str, n: int) -> CayleyGraph:
     symbols = _vertex_symbols(family, n)
     id_of = {s: v for v, s in enumerate(symbols)}
-    return CayleyGraph(_neighbor_ids(symbols, id_of, _moves(family, n)), family, n, symbols)
+    columns = _columns(symbols, id_of, _moves(family, n))
+    # one column of ids per generator; distinct generators give distinct
+    # neighbours. A g_i- column is its g_i+ column composed with itself.
+    columns += [map(c.__getitem__, c) for c in columns[: n - 2]]
+    return CayleyGraph(tuple(map(tuple, map(sorted, zip(*columns)))), family, n, symbols)
 
 
 def build_ag(n: int) -> CayleyGraph:
@@ -251,10 +253,10 @@ class LeftTranslations:
 
     def translates(self, fault) -> list[tuple[int, ...]]:
         """h F for every label h, in vertex order (translate w maps vertex 0 to w)."""
-        # h p in one-line notation is (h[p_1 - 1], ..., h[p_n - 1])
-        relabel = [itemgetter(*(s - 1 for s in self.symbols[v])) for v in fault]
-        id_of = self.id_of
-        return [tuple(sorted(id_of[g(h)] for g in relabel)) for h in self.symbols]
+        # h p in one-line notation is (h[p_1 - 1], ..., h[p_n - 1]): h read at p's positions
+        tables = [[s - 1 for s in self.symbols[v]] for v in fault]
+        rows = zip(*_columns(self.symbols, self.id_of, tables))  # one row per h
+        return list(map(tuple, map(sorted, rows))) if fault else [()] * len(self.symbols)
 
     def orbit_size(self, fault_mask: int, tables: dict) -> int:
         """V / |stabiliser of F| if F, a fault through 0, is its least pinned translate, else 0.
@@ -300,12 +302,8 @@ def external_edge_count(G: CayleyGraph, i: int, j: int) -> int:
         raise ValueError("part indices must differ")
     if not (1 <= i <= G.n and 1 <= j <= G.n):
         raise ValueError(f"part indices must lie in 1..{G.n}")
-    mask_j = mask_of(v for v in range(G.vertex_count) if G.last_symbol(v) == j)
-    count = 0
-    for v in range(G.vertex_count):
-        if G.last_symbol(v) == i:
-            count += (G.adj_masks[v] & mask_j).bit_count()
-    return count
+    last = G.last_symbol
+    return sum(last(u) == j for v in range(G.vertex_count) if last(v) == i for u in G.neighbors[v])
 
 
 def out_neighbors(G: CayleyGraph, v: int) -> tuple[int, ...]:

@@ -44,6 +44,16 @@ def complete_graph(n):
     return BitGraph.from_edges(n, itertools.combinations(range(n), 2))
 
 
+def path_graph(n):
+    return BitGraph.from_edges(n, zip(range(n - 1), range(1, n)))
+
+
+def barbell_graph(m):
+    """Two m-cliques on 0..m-1 and m..2m-1, joined by the bridge (m - 1, m)."""
+    cliques = itertools.combinations(range(m), 2), itertools.combinations(range(m, 2 * m), 2)
+    return BitGraph.from_edges(2 * m, itertools.chain(*cliques, [(m - 1, m)]))
+
+
 AG4_FOUR_CYCLE_FAULT = ("1234", "2143", "3412", "4321")
 
 
@@ -122,15 +132,19 @@ class TestNeighbourListWalk:
         for _ in range(20):
             yield rng.sample(range(V), rng.randint(0, V - 1))
 
+    @staticmethod
+    def assert_walk_agrees(G, F):
+        fm = mask_of(F)
+        want = component_report(G.neighbors, fm, component_masks(G.adj_masks, G.full_mask ^ fm))
+        got = components(G, F)
+        assert got == want
+        assert got.fault == tuple(sorted(set(F)))
+        assert got.components == want.components
+        return got
+
     def assert_walks_agree(self, G, seed):
         for F in self.faults(G, random.Random(seed)):
-            fm = mask_of(F)
-            alive = G.full_mask ^ fm
-            want = component_report(G.neighbors, fm, component_masks(G.adj_masks, alive))
-            got = components(G, F)
-            assert got == want
-            assert got.fault == tuple(sorted(set(F)))
-            assert got.components == want.components
+            self.assert_walk_agrees(G, F)
 
     @pytest.mark.parametrize("build,n", [(build_ag, n) for n in range(3, 7)]
                              + [(build_splitstar, n) for n in range(3, 6)])
@@ -142,6 +156,79 @@ class TestNeighbourListWalk:
         rng = random.Random(V)
         for _ in range(3):
             self.assert_walks_agree(sparse_random_graph(rng, V), rng.random())
+
+    def test_two_large_components(self):
+        # the walk stops only when at most one region grows, so two regions of
+        # more than V/4 vertices each must both run to their ends
+        path, barbell = path_graph(65), barbell_graph(20)
+        assert self.assert_walk_agrees(path, [32]).sizes() == (32, 32)
+        assert self.assert_walk_agrees(path, [10, 40]).sizes() == (29, 24, 10)
+        assert self.assert_walk_agrees(barbell, [19]).sizes() == (20, 19)
+        assert self.assert_walk_agrees(barbell, [5, 19, 33]).sizes() == (19, 18)
+
+    def test_single_boundary_vertex(self, ag4):
+        # a single region: the walk stops after its first step
+        path = path_graph(65)
+        assert self.assert_walk_agrees(path, [0]).sizes() == (64,)
+        assert self.assert_walk_agrees(path, range(40, 65)).sizes() == (40,)
+        assert self.assert_walk_agrees(barbell_graph(20), range(20, 40)).sizes() == (20,)
+        for v in range(12):
+            assert self.assert_walk_agrees(ag4, set(range(12)) - {v}).sizes() == (1,)
+
+    @pytest.mark.parametrize("build,n", [(build_ag, 4), (build_splitstar, 4), (build_ag, 5)])
+    def test_empty_and_full_faults(self, build, n):
+        G = build(n)
+        assert self.assert_walk_agrees(G, ()).masks == (G.full_mask,)
+        assert self.assert_walk_agrees(G, range(G.vertex_count)).masks == ()
+
+    def test_untouched_component_of_a_disconnected_graph(self, ag4):
+        # AG_4 beside a 30-vertex path: G is not connected, so a fault inside
+        # one part must not stop the walk before it reaches the other
+        tail = [(u + 12, v + 12) for u, v in path_graph(30).edges()]
+        G = BitGraph.from_edges(42, list(ag4.edges()) + tail)
+        assert not G.connected
+        four_cycles = vids(ag4, *AG4_FOUR_CYCLE_FAULT)
+        assert self.assert_walk_agrees(G, four_cycles).sizes() == (30, 4, 4)
+        assert self.assert_walk_agrees(G, [20]).sizes() == (21, 12, 8)
+        assert self.assert_walk_agrees(G, ag4.neighbors[0]).sizes() == (30, 7, 1)
+
+    def test_connected_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(27)
+        graphs = [build_ag(n) for n in range(3, 7)] + [build_splitstar(n) for n in range(3, 6)]
+        graphs += [sparse_random_graph(rng, V) for V in (1, 2, 5, 20, 63, 64, 65, 129) * 3]
+        graphs += [BitGraph.from_edges(*random_connected_graph(rng)) for _ in range(10)]
+        verdicts = set()
+        for G in graphs:
+            H = nx.Graph()
+            H.add_nodes_from(range(G.vertex_count))
+            H.add_edges_from(G.edges())
+            assert G.connected == nx.is_connected(H)
+            assert G.connected == (components(G, ()).count == 1)
+            verdicts.add(G.connected)
+        assert verdicts == {False, True}
+
+    def test_paper_cuts_walk_under_a_quarter_of_the_neighbour_lists(self):
+        class CountingNeighbors(tuple):
+            reads = 0
+
+            def __getitem__(self, v):
+                CountingNeighbors.reads += 1
+                return tuple.__getitem__(self, v)
+
+        def reads(G, F):
+            H = BitGraph(CountingNeighbors(G.neighbors))
+            assert H.connected and CountingNeighbors.reads >= H.vertex_count
+            CountingNeighbors.reads = 0
+            assert components(H, F) == components(G, F)
+            return CountingNeighbors.reads
+
+        G = build_ag(7)
+        for ell in (3, 4, 5):
+            assert reads(G, construct_paper_cut(G, ell).fault) < G.vertex_count / 4
+        # the regions take turns: the long side of a path stops growing as
+        # soon as the short side has ended
+        assert reads(path_graph(1000), [5]) < 20
 
     @pytest.mark.parametrize("build,n", [(build_ag, 7), (build_splitstar, 6)])
     def test_matches_mask_walk_on_paper_cuts(self, build, n):
@@ -157,18 +244,31 @@ class TestNeighbourListWalk:
         with pytest.raises(ValueError, match="out-of-range vertex ids"):
             components(ag4, F)
 
-    def test_walk_memory_is_bytes_per_vertex(self):
-        # on an AG_8 paper cut the walk peaked at 0.83 MB on Python 3.11; a set
-        # of the V reached ids, as an earlier walk kept, took it to 2.05 MB
-        G = build_ag(8)
-        F = construct_paper_cut(G, 3).fault
+    @staticmethod
+    def walk_peak(G, F):
         tracemalloc.start()
         try:
             components(G, F)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_250_000
+
+    def test_walk_memory_is_bytes_per_vertex(self):
+        # on an AG_8 paper cut the walk peaked at 0.15 MB on Python 3.11; a set
+        # of the V reached ids, as an earlier walk of all of G kept, took it to
+        # 2.05 MB
+        G = build_ag(8)
+        F = construct_paper_cut(G, 3).fault
+        assert self.walk_peak(G, F) < 1_250_000
+
+    def test_first_walk_memory_includes_the_connectivity_walk(self):
+        # the first walk on a fresh graph also finds G.connected by walking all
+        # of G: 0.99 MB on AG_8 on Python 3.11
+        F = construct_paper_cut(build_ag(8), 3).fault
+        G = build_ag(8)
+        assert "connected" not in vars(G)
+        assert self.walk_peak(G, F) < 1_250_000
+        assert vars(G)["connected"] is True
 
 
 class TestWordWalk:

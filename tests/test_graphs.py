@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -301,6 +302,16 @@ class TestExternalEdgeCount:
     def test_rejects_equal_parts(self, ag4):
         with pytest.raises(ValueError):
             external_edge_count(ag4, 2, 2)
+
+    @pytest.mark.parametrize("build,n", [(build_ag, 4), (build_ag, 5), (build_ag, 6),
+                                         (build_splitstar, 4), (build_splitstar, 5)])
+    def test_every_pair_matches_an_edge_count(self, build, n):
+        G = build(n)
+        between = collections.Counter(
+            frozenset((G.last_symbol(u), G.last_symbol(v))) for u, v in G.edges())
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert external_edge_count(G, i, j) == between[frozenset((i, j))]
+        assert "adj_masks" not in vars(G)
 
 
 class TestParitySplit:

@@ -23,8 +23,8 @@ from kappalab.connectivity import (
     vertex_connectivity,
 )
 from kappalab.graphs import (FAMILY_AG, FAMILY_SPLIT_STAR, MAX_N_AG, MAX_N_SPLIT_STAR, BitGraph,
-                             build_ag, build_family, build_splitstar, left_translations,
-                             to_dimacs, to_json_dict)
+                             build_ag, build_family, build_splitstar, external_edge_count,
+                             left_translations, to_dimacs, to_json_dict)
 from kappalab.kappa import (
     DEFAULT_BUDGET,
     PAPER_SETS,
@@ -521,6 +521,7 @@ class TestPaperCuts:
         for G in (build_ag(7), build_splitstar(7)):
             to_json_dict(G)
             to_dimacs(G)
+            external_edge_count(G, 1, G.n)
             for ell in (3, 4, 5):
                 w = construct_paper_cut(G, ell)
                 assert verify_cut(G, w.fault, ell) == w
