@@ -229,7 +229,9 @@ def components(G: BitGraph, F) -> ComponentReport:
     component of G - F holds a boundary vertex, so once at most one region
     grows, it gets every vertex not yet placed: a paper cut of ``AG_8`` reads
     at most 149 of its 20,160 neighbour lists. If F is empty or G is not
-    connected (``BitGraph.connected``: this walk with F empty), it walks all.
+    connected, it walks all. A built ``AG_n`` or ``S_n^2`` carries
+    ``BitGraph.connected``; any other graph finds it on first read by this
+    walk with F empty.
     """
     fault = _vertex_ids(G, F)
     return component_report(G.neighbors, mask_of(fault), _walk(G, fault))

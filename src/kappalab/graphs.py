@@ -7,20 +7,27 @@ Both families are Cayley graphs on permutations of ``1..n``:
 * S_n^2: vertices are all permutations, edges the rotations plus the
   2-exchange g_12; (2n-3)-regular with n! vertices.
 
-Generators act on positions, so each g_i+ (and g_12 on S_n^2) is a position
-table, and one ``zip`` over the bytes rows of its positions (row j holds
-symbol j of every label) yields its column of neighbour ids; a g_i- column is
-its g_i+ column composed with itself. Vertex ids are lex positions (among the
-even permutations for AG), equal to ``even_rank`` / ``rank``, so id 0 is
-always the identity. ``CayleyGraph.labels`` keeps those symbol tuples, and
-``label(v)`` wraps one in a :class:`~kappalab.perms.Perm` only when a caller
-asks. Left multiplication relabels symbols and commutes with the generators,
-so it is a vertex-transitive group of automorphisms (:class:`LeftTranslations`);
-the subset scans use it to test only the fault sets through vertex 0.
+Vertex ids are lex positions (among the even permutations for AG), equal to
+``even_rank`` / ``rank``, so id 0 is always the identity. Generators act on
+positions, so each generator is a position table (g_i- is g_i+ read twice), and
+:func:`_sorted_ids` finds every vertex's neighbour ids at once on V-field ints,
+one W-bit field per vertex: row j holds symbol j of every label, one guarded
+subtraction per pair of positions (a, b) marks the fields where the symbol at
+b is smaller than the one at a, sums of those marks weighted by factorials are
+the lex ranks of every label read at a table, and a compare-exchange network
+over the columns leaves each vertex's ids in ascending order.
+``CayleyGraph.labels`` keeps the symbol tuples, and ``label(v)`` wraps one in a
+:class:`~kappalab.perms.Perm` only when a caller asks. Left multiplication
+relabels symbols and commutes with the generators, so it is a vertex-transitive
+group of automorphisms (:class:`LeftTranslations`, whose translates are ranked
+the same way); the subset scans use it to test only the fault sets through
+vertex 0.
 
 A :class:`BitGraph` holds sorted neighbour lists only. Its ``adj_masks``,
 one bitmask per vertex, are derived from them the first time a subset scan
-reads them, so building and cutting ``AG_8`` never holds its V^2 bits.
+reads them, so building and cutting ``AG_8`` never holds its V^2 bits. Its
+``connected`` flag is found by one walk on first read, except on a built
+graph, which carries it: the generators generate A_n or S_n.
 Vertex sets are also bitmasks (bit v set iff v is in the set): :func:`mask_of`
 builds one and :func:`ids_of` lists one. ``ids_of`` walks the mask a 64-bit
 word at a time: one Python step per word and per set bit, linear in the mask
@@ -30,6 +37,9 @@ length.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -89,7 +99,8 @@ def ids_of(mask: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class BitGraph:
     """Immutable undirected graph over vertices ``0..V-1``: sorted neighbour
-    tuples; ``adj_masks`` (a bitmask per vertex) and ``connected`` on first read."""
+    tuples; ``adj_masks`` (a bitmask per vertex) and ``connected`` on first read,
+    unless the graph was built with ``connected`` already in its ``__dict__``."""
 
     neighbors: tuple[tuple[int, ...], ...]
 
@@ -176,7 +187,7 @@ class CayleyGraph(BitGraph):
 def _moves(family: str, n: int) -> list[list[int]]:
     """The g_i+ (3 <= i <= n), then the family's other generators (g_12 on
     S_n^2), as 0-based position tables: ``p g`` is ``p`` read at g's table.
-    Each g_i- is g_i+ applied twice, so it needs no table of its own."""
+    Each g_i- is g_i+ applied twice, so :func:`_build` reads its table twice."""
     identity = Perm.identity(n)
     images = [rot_plus(identity, i) for i in range(3, n + 1)]
     if family == FAMILY_SPLIT_STAR:
@@ -200,20 +211,67 @@ def _vertex_symbols(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.compress(perms, even))
 
 
-def _columns(symbols, id_of: dict, tables) -> list[list[int]]:
-    """For each position table, the ids of all labels read at its positions, in id order."""
-    rows = list(map(bytes, zip(*symbols)))  # rows[j][v] is the symbol at position j of v
-    return [list(map(id_of.__getitem__, zip(*(rows[j] for j in table)))) for table in tables]
+def _field_ranks(symbols, tables, W: int, ones: int) -> list[int]:
+    """For each position table, the ids of all labels read at it, as one int of
+    V W-bit fields (field v for label v; ``ones`` has 1 in every field); the
+    labels are all of S_n or of A_n in lex order, and a table of A_n keeps them even."""
+    V, n, B = len(symbols), len(symbols[0]), W // 8
+    top = ones << (W - 1)
+    flat, field, rows = bytes(itertools.chain.from_iterable(symbols)), bytearray(V * B), []
+    for j in range(n):  # rows[j]: symbol j of every label
+        field[::B] = flat[j::n]
+        rows.append(int.from_bytes(field, "little"))
+    # the lex rank is the sum over j of (n-1-j)! times digit j, the number of
+    # later positions holding a smaller symbol. On A_n the id is rank // 2
+    # (even_rank), which drops the last digit, of weight 1, and halves the rest.
+    even = V < math.factorial(n)
+    weights = [math.factorial(n - 1 - j) >> even for j in range(n - 2 if even else n - 1)]
+    columns = [0] * len(tables)
+    for a in range(n):  # the digits of every table at the position where it reads a
+        guarded = rows[a] | top
+        # smaller[b]: 1 where the symbol at b is smaller than the one at a
+        smaller = {b: (guarded - rows[b]) >> (W - 1) & ones for b in range(n) if b != a}
+        for i, t in enumerate(tables):
+            j = t.index(a)
+            if j < len(weights):
+                columns[i] += sum(map(smaller.__getitem__, t[j + 1:])) * weights[j]
+    return columns
+
+
+def _sorted_ids(symbols, tables) -> tuple[tuple[int, ...], ...]:
+    """For each label, in id order, the ids of the label read at every position
+    table (see :func:`_field_ranks`), ascending.
+
+    Every step acts on all V labels at once through ints of V W-bit fields,
+    with W = 16 while V < 2^15, so ids stay below each field's top bit, the
+    guard of every comparison.
+    """
+    V = len(symbols)
+    B = 2 if V < 1 << 15 else 4  # bytes a field
+    W, ones = 8 * B, int.from_bytes((b"\1" + bytes(B - 1)) * V, "little")
+    columns = _field_ranks(symbols, tables, W, ones)
+    top, field = ones << (W - 1), (1 << W) - 1
+    for k in range(len(columns)):  # odd-even transposition sort of the columns, field-wise
+        for i in range(k & 1, len(columns) - 1, 2):
+            x, y = columns[i], columns[i + 1]
+            swap = (x ^ y) & (((x | top) - y) >> (W - 1) & ones) * field
+            columns[i], columns[i + 1] = x ^ swap, y ^ swap
+    for i, c in enumerate(columns):
+        columns[i] = array("H" if B == 2 else "I", c.to_bytes(V * B, "little"))
+        if sys.byteorder == "big":
+            columns[i].byteswap()
+    ids = list(range(V))  # the neighbour tuples share these V int objects
+    return tuple(zip(*[map(ids.__getitem__, c) for c in columns]))
 
 
 def _build(family: str, n: int) -> CayleyGraph:
     symbols = _vertex_symbols(family, n)
-    id_of = {s: v for v, s in enumerate(symbols)}
-    columns = _columns(symbols, id_of, _moves(family, n))
-    # one column of ids per generator; distinct generators give distinct
-    # neighbours. A g_i- column is its g_i+ column composed with itself.
-    columns += [map(c.__getitem__, c) for c in columns[: n - 2]]
-    return CayleyGraph(tuple(map(tuple, map(sorted, zip(*columns)))), family, n, symbols)
+    tables = _moves(family, n)
+    tables += [[t[j] for j in t] for t in tables[: n - 2]]  # g_i- is g_i+ twice
+    # distinct generators give distinct neighbours, so no tuple repeats an id
+    G = CayleyGraph(_sorted_ids(symbols, tables), family, n, symbols)
+    G.__dict__["connected"] = True  # the generators generate A_n or S_n
+    return G
 
 
 def build_ag(n: int) -> CayleyGraph:
@@ -255,8 +313,7 @@ class LeftTranslations:
         """h F for every label h, in vertex order (translate w maps vertex 0 to w)."""
         # h p in one-line notation is (h[p_1 - 1], ..., h[p_n - 1]): h read at p's positions
         tables = [[s - 1 for s in self.symbols[v]] for v in fault]
-        rows = zip(*_columns(self.symbols, self.id_of, tables))  # one row per h
-        return list(map(tuple, map(sorted, rows))) if fault else [()] * len(self.symbols)
+        return list(_sorted_ids(self.symbols, tables)) if fault else [()] * len(self.symbols)
 
     def orbit_size(self, fault_mask: int, tables: dict) -> int:
         """V / |stabiliser of F| if F, a fault through 0, is its least pinned translate, else 0.

@@ -1,15 +1,21 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
+import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
 
 from kappalab.graphs import (
     BitGraph,
+    _moves,
+    _sorted_ids,
     _vertex_symbols,
     build_ag,
+    build_family,
     build_splitstar,
     external_edge_count,
     mask_of,
@@ -17,7 +23,7 @@ from kappalab.graphs import (
     to_dimacs,
     to_json_dict,
 )
-from kappalab.perms import Perm, even_rank, exchange, parity, Parity, rot_minus, rot_plus
+from kappalab.perms import Perm, even_rank, exchange, parity, Parity, rank, rot_minus, rot_plus
 
 from .oracles import oracle_cayley_graph
 
@@ -97,7 +103,7 @@ class TestBuildAg:
 
 @pytest.mark.parametrize(
     "family, n",
-    [("ag", n) for n in range(3, 8)] + [("s2", n) for n in range(3, 7)],
+    [("ag", n) for n in range(3, 8)] + [("s2", n) for n in range(3, 8)],
 )
 def test_build_matches_ranking_oracle(family, n):
     G = build_ag(n) if family == "ag" else build_splitstar(n)
@@ -106,13 +112,72 @@ def test_build_matches_ranking_oracle(family, n):
         neighbors, masks, tuple(p.symbols for p in labels))
 
 
+@pytest.mark.parametrize("family", ["ag", "s2"])
+def test_field_ranks_match_perms_at_the_field_width_edges(family):
+    # AG_8's 20,160 ids fill 16-bit fields below the guard bit, though its lex
+    # ranks reach 40,319; S_8^2's 40,320 labels (one past the largest graph
+    # built) take 32-bit fields
+    symbols = _vertex_symbols(family, 8)
+    rng = random.Random(8)
+    tables = [list(range(8))] + _moves(family, 8)
+    tables += [[s - 1 for s in symbols[v]] for v in rng.sample(range(len(symbols)), 3)]
+    rows, unsorted = _sorted_ids(symbols, tables), _sorted_ids(symbols, tables[-1:])
+    id_of = even_rank if family == "ag" else rank
+    for v in rng.sample(range(len(symbols)), 300):
+        want = [id_of(Perm(tuple(symbols[v][j] for j in t))) for t in tables]
+        assert rows[v] == tuple(sorted(want))
+        assert unsorted[v] == (want[-1],)
+
+
+def test_build_memory_is_bounded():
+    # ids are looked up in one list, so the neighbour tuples share V int
+    # objects (fresh ints per entry would add 6.8 MB); the build peaked at
+    # 6.29 MB on Python 3.11
+    tracemalloc.start()
+    try:
+        G = build_ag(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({id(u) for ns in G.neighbors for u in ns}) <= G.vertex_count
+    assert peak < 8_500_000
+
+
 EVERY_BUILDABLE = [("ag", n) for n in range(3, 9)] + [("s2", n) for n in range(3, 8)]
+
+
+class TestConnectedFlag:
+    """A built graph carries ``connected``; any other graph walks for it."""
+
+    def test_a_fresh_build_carries_the_flag(self):
+        assert vars(build_ag(8))["connected"] is True
+
+    @pytest.mark.parametrize("family, n", EVERY_BUILDABLE)
+    def test_a_walk_finds_the_carried_value(self, family, n):
+        H = BitGraph(build_family(family, n).neighbors)
+        assert "connected" not in vars(H)
+        assert H.connected is True
+
+    def test_an_edited_copy_walks(self):
+        G = build_ag(6)
+        u, v = 0, G.neighbors[0][0]
+        neighbors = list(G.neighbors)
+        neighbors[u] = tuple(x for x in neighbors[u] if x != v)
+        neighbors[v] = tuple(x for x in neighbors[v] if x != u)
+        H = dataclasses.replace(G, neighbors=tuple(neighbors))
+        assert "connected" not in vars(H)
+        assert H.connected is True and "connected" in vars(H)
+        for x in G.neighbors[0]:  # vertex 0 cut off: the walk finds two components
+            neighbors[x] = tuple(y for y in neighbors[x] if y != 0)
+        neighbors[0] = ()
+        assert dataclasses.replace(G, neighbors=tuple(neighbors)).connected is False
+        assert vars(G)["connected"] is True
 
 
 @pytest.mark.parametrize("family, n", EVERY_BUILDABLE)
 def test_composed_columns_match_one_column_per_move(family, n):
-    # the build composes each g_i- column from its g_i+ column; here every
-    # generator gets its own column, each move applied to every label
+    # the build ranks each g_i- as g_i+'s position table read twice; here
+    # every generator gets its own column, each move applied to every label
     G = build_ag(n) if family == "ag" else build_splitstar(n)
     identity = Perm.identity(n)
     images = [rot(identity, i) for rot in (rot_plus, rot_minus) for i in range(3, n + 1)]

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import json
+import operator
 from collections import Counter
 
 import pytest
 
-from kappalab import lemmas
+from kappalab import kappa, lemmas
 from kappalab.connectivity import common_neighbors, ids_of, is_independent, neighborhood
 from kappalab.graphs import CayleyGraph, build_ag, build_splitstar
 from kappalab.kappa import SCAN_BATCH, witness_families
@@ -396,6 +398,30 @@ class TestSampling:
         assert got["exceptional_faults"] and got["outcome_counts"]
         monkeypatch.setattr(lemmas, "_draw_lanes", oracle_draw_lanes)
         assert got == report()
+
+    @pytest.mark.parametrize("graph, rule, size, trials", [
+        ("ag5", "ag-6n-20", 10, 65),  # 63 chunks of one lane, one of two
+        ("s5", "s2-6n-17", 13, 1000),  # chunks of 15 and 16 lanes
+        ("ag4", "ag-4n-11", 5, 64 * SCAN_BATCH + 65),  # a second, partial batch a chunk
+    ])
+    def test_census_tests_every_requested_lane(self, graph, rule, size, trials, request,
+                                               monkeypatch):
+        # instances_checked echoes the requested trials, so count what reaches the
+        # component filter: lanes with a dead vertex, and the dead vertices
+        assert trials % lemmas.SAMPLE_CHUNKS
+        seen = Counter()
+        split_lanes = kappa.split_lanes
+
+        def counting(neighbors, alive, need):
+            lanes = functools.reduce(operator.or_, alive)  # each lane keeps a vertex alive
+            seen["lanes"] += (lanes ^ functools.reduce(operator.and_, alive)).bit_count()
+            seen["dead"] += sum((lanes ^ a).bit_count() for a in alive)
+            return split_lanes(neighbors, alive, need)
+
+        monkeypatch.setattr(kappa, "split_lanes", counting)
+        G = request.getfixturevalue(graph)
+        verify_cut_structure(G, size, rule, mode="sampled", trials=trials, seed=5)
+        assert seen == {"lanes": trials, "dead": size * trials}
 
 
 class TestRemarkLargerSizes:
