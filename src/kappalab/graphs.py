@@ -20,8 +20,8 @@ over the columns leaves each vertex's ids in ascending order.
 :class:`~kappalab.perms.Perm` only when a caller asks. Left multiplication
 relabels symbols and commutes with the generators, so it is a vertex-transitive
 group of automorphisms (:class:`LeftTranslations`, whose translates are ranked
-the same way); the subset scans use it to test only the fault sets through
-vertex 0.
+the same way); the subset scans use a built graph's own to test only the fault
+sets through vertex 0, and any other graph takes the full scan.
 
 A :class:`BitGraph` holds sorted neighbour lists only. Its ``adj_masks``,
 one bitmask per vertex, are derived from them the first time a subset scan
@@ -144,6 +144,8 @@ class BitGraph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"edge ({u}, {v}) has an id outside 0..{vertex_count - 1}")
             adj[u].add(v)
             adj[v].add(u)
         return cls(tuple(tuple(sorted(ns)) for ns in adj))
@@ -175,13 +177,6 @@ class CayleyGraph(BitGraph):
 
     def last_symbol(self, v: int) -> int:
         return self.labels[v][-1]
-
-    @cached_property
-    def translations(self) -> LeftTranslations | None:
-        """:func:`left_translations` of this graph, checked on first use only."""
-        if self.family not in (FAMILY_AG, FAMILY_SPLIT_STAR) or self != _build(self.family, self.n):
-            return None  # dataclass equality: neighbors, family, n and labels
-        return LeftTranslations(self.labels)
 
 
 def _moves(family: str, n: int) -> list[list[int]]:
@@ -271,6 +266,7 @@ def _build(family: str, n: int) -> CayleyGraph:
     # distinct generators give distinct neighbours, so no tuple repeats an id
     G = CayleyGraph(_sorted_ids(symbols, tables), family, n, symbols)
     G.__dict__["connected"] = True  # the generators generate A_n or S_n
+    G.__dict__["translations"] = LeftTranslations(symbols)
     return G
 
 
@@ -302,12 +298,15 @@ class LeftTranslations:
     Generators act on positions and h relabels symbols, so each h is an
     automorphism. There is exactly one translation moving vertex 0 to any
     given vertex w (h = the label of w), so every vertex set has a translate
-    through vertex 0.
+    through vertex 0. Its ``id_of`` dict is built on the first :meth:`orbit_size`.
     """
 
     def __init__(self, symbols):
         self.symbols = symbols
-        self.id_of = {s: v for v, s in enumerate(symbols)}
+
+    @cached_property
+    def id_of(self) -> dict[tuple[int, ...], int]:
+        return {s: v for v, s in enumerate(self.symbols)}
 
     def translates(self, fault) -> list[tuple[int, ...]]:
         """h F for every label h, in vertex order (translate w maps vertex 0 to w)."""
@@ -342,15 +341,11 @@ class LeftTranslations:
 
 
 def left_translations(G: BitGraph) -> LeftTranslations | None:
-    """G's left translations if G is exactly AG_n or S_n^2 as built here, else None.
-
-    Compares G with a fresh build of its family and n, so an edited copy of a
-    built graph, or a plain BitGraph, gets None. Memory stays linear in the
-    vertex count. The graph is immutable, so the answer is kept on it
-    (``CayleyGraph.translations``) and later scans of the same graph object do
-    not check again.
-    """
-    return G.translations if isinstance(G, CayleyGraph) else None
+    """G's left translations if G was returned by :func:`build_ag` or
+    :func:`build_splitstar`, which put them in its ``__dict__``, else None: a
+    plain, hand-made or edited graph (``dataclasses.replace``) gets None even
+    when equal to a built one; ``copy`` and ``pickle`` copies keep them."""
+    return vars(G).get("translations")
 
 
 def external_edge_count(G: CayleyGraph, i: int, j: int) -> int:

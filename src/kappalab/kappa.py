@@ -30,11 +30,11 @@ read back from the vertices dead in its lane. The level scan stops at the
 first hit; the hyper scan and the cut-structure censuses of
 :mod:`kappalab.lemmas` are censuses, all run by :func:`run_census`; the
 hyper scan's rule and the n >= 5 rules are :class:`SmallParts` data. On a
-graph that :func:`left_translations` accepts, :func:`scan_tasks` keeps only
-the fault sets through vertex 0, the first C(V-1, k-1) ranks of level k; a
-census examines only the least of each orbit's translates among them,
-weighted by the orbit size
-(:meth:`~kappalab.graphs.LeftTranslations.orbit_size`). ``explored`` and
+graph returned by ``build_ag`` or ``build_splitstar``, which carries its
+:func:`left_translations`, :func:`scan_tasks` keeps only the fault sets
+through vertex 0, the first C(V-1, k-1) ranks of level k; a census examines
+only the least of each orbit's translates among them, weighted by the orbit
+size (:meth:`~kappalab.graphs.LeftTranslations.orbit_size`). ``explored`` and
 ``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
 """
 

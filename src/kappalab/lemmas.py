@@ -579,12 +579,12 @@ def verify_cut_structure(
     removal disconnects the graph must satisfy the rule; all others are
     skipped.
 
-    An exhaustive census on AG_n or S_n^2 examines one fault per orbit, the
-    least translate through vertex 0 (every outcome is the same on all
-    translates), and tallies it by its orbit size; fault lists are expanded
-    to orbits, sorted by (size, ids) as the full scan lists them.
-    ``instances_checked`` still counts every fault covered. Edited graphs and
-    sampled runs examine every fault they cover.
+    An exhaustive census on a graph from ``build_ag`` or ``build_splitstar``
+    examines one fault per orbit, the least translate through vertex 0 (every
+    outcome is the same on all translates), and tallies it by its orbit size;
+    fault lists are expanded to orbits, sorted by (size, ids) as the full scan
+    lists them. ``instances_checked`` still counts every fault covered. Edited
+    or hand-made graphs and sampled runs examine every fault they cover.
     """
     if not isinstance(rule, str) or rule not in CUT_RULES:
         raise ValueError(f"unknown cut-structure rule {rule!r}")

@@ -501,3 +501,10 @@ class TestBitGraphFixtureSupport:
     def test_from_edges_rejects_loops(self):
         with pytest.raises(ValueError):
             BitGraph.from_edges(2, [(0, 0)])
+
+    @pytest.mark.parametrize("edges", [[(-1, 0), (0, 1)], [(0, 1), (1, 3)]])
+    def test_from_edges_rejects_ids_outside_the_vertex_range(self, edges):
+        # a negative id used to wrap around the list into an asymmetric graph,
+        # and an id >= V used to raise a bare IndexError
+        with pytest.raises(ValueError, match=r"edge \((-1, 0|1, 3)\)"):
+            BitGraph.from_edges(3, edges)

@@ -24,7 +24,7 @@ from kappalab.connectivity import (
 )
 from kappalab.graphs import (FAMILY_AG, FAMILY_SPLIT_STAR, MAX_N_AG, MAX_N_SPLIT_STAR, BitGraph,
                              build_ag, build_family, build_splitstar, external_edge_count,
-                             left_translations, to_dimacs, to_json_dict)
+                             to_dimacs, to_json_dict)
 from kappalab.kappa import (
     DEFAULT_BUDGET,
     PAPER_SETS,
@@ -831,12 +831,10 @@ class TestScanMemory:
 
     def test_s4_ell4_level_scan(self):
         G = build_splitstar(4)
-        left_translations(G)
         assert self.traced_peak(lambda: kappa_ell_exhaustive(G, 4)) <= 380_000
 
     def test_s4_census_at_bound_8(self):
         G = build_splitstar(4)
-        left_translations(G)
         assert self.traced_peak(lambda: verify_cut_structure(G, 8, "s2-4n-8")) <= 650_000
 
     def test_ag8_build_and_paper_cuts_hold_no_adjacency_masks(self):

@@ -8,14 +8,18 @@ censuses examine one fault set per orbit, weighted by the orbit size; that
 weight is checked against brute-force orbits.
 """
 
+import copy
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
-from kappalab import kappa, lemmas
+from kappalab import graphs, kappa, lemmas
 from kappalab.connectivity import components
 from kappalab.graphs import (BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations,
                              mask_of)
@@ -67,14 +71,55 @@ class TestGate:
         assert left_translations(relabelled) is None
         other_family = CayleyGraph(s4.neighbors, "ag", 4, s4.labels)
         assert left_translations(other_family) is None
+        # only the build attaches them, so a graph equal to a built one gets None
+        for H in (CayleyGraph(s4.neighbors, s4.family, s4.n, s4.labels), dataclasses.replace(s4)):
+            assert H == s4 and left_translations(H) is None
 
     def test_answer_is_kept_on_the_graph(self):
         G = build_ag(4)
         tr = left_translations(G)
         assert tr is not None and left_translations(G) is tr
-        # copies made after the answer was kept must still be checked afresh
+        # edited copies are new objects that do not carry the build's translations
         assert left_translations(drop_edge(G, 0, G.neighbors[0][0])) is None
         assert left_translations(dataclasses.replace(G, labels=G.labels[::-1])) is None
+
+    def test_scans_never_rebuild_the_graph(self, monkeypatch):
+        G = build_ag(4)
+        calls = []
+        build = graphs._build
+        monkeypatch.setattr(graphs, "_build", lambda *args: calls.append(args) or build(*args))
+        level = kappa_ell_exhaustive(G, 2, k_max=1)
+        hyper = hyper_connectivity_scan(G, 4)
+        census = verify_cut_structure(G, 5, "ag-4n-11")
+        assert calls == []
+        assert level.evaluated < level.explored and hyper.evaluated < hyper.scanned
+        assert census.evaluated < census.instances_checked  # all three pinned
+
+    def test_carrying_the_translations_costs_no_lookup_dict(self):
+        G = build_ag(8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tr = left_translations(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr is not None and peak < 64_000
+        assert "id_of" not in vars(tr)  # built by the first orbit_size, not by the build
+        assert tr.orbit_size(mask_of((0, G.neighbors[0][0])), {}) > 0
+        assert len(vars(tr)["id_of"]) == G.vertex_count
+
+    def test_copies_keep_the_translations(self, ag4, full_scan):
+        built = left_translations(ag4)
+        assert left_translations(copy.copy(ag4)) is built
+        H = pickle.loads(pickle.dumps(ag4))
+        tr = left_translations(H)
+        assert H == ag4 and tr is not None and tr is not built
+        assert tr.symbols == H.labels and tr.translates((1, 5)) == built.translates((1, 5))
+        pinned = verify_cut_structure(H, 6, "ag-4n-11")
+        full = full_scan(verify_cut_structure, H, 6, "ag-4n-11")
+        assert pinned.to_json_dict() == full.to_json_dict()
+        assert pinned.evaluated < full.evaluated == full.instances_checked
 
     def test_translates_are_automorphisms(self, s4):
         tr = left_translations(s4)
