@@ -8,30 +8,24 @@ Both families are Cayley graphs on permutations of ``1..n``:
   2-exchange g_12; (2n-3)-regular with n! vertices.
 
 Vertex ids are lex positions (among the even permutations for AG), equal to
-``even_rank`` / ``rank``, so id 0 is always the identity. Generators act on
-positions, so each generator is a position table (g_i- is g_i+ read twice), and
-:func:`_sorted_ids` finds every vertex's neighbour ids at once on V-field ints,
-one W-bit field per vertex: row j holds symbol j of every label, one guarded
-subtraction per pair of positions (a, b) marks the fields where the symbol at
-b is smaller than the one at a, sums of those marks weighted by factorials are
-the lex ranks of every label read at a table, and a compare-exchange network
-over the columns leaves each vertex's ids in ascending order.
-``CayleyGraph.labels`` keeps the symbol tuples, and ``label(v)`` wraps one in a
-:class:`~kappalab.perms.Perm` only when a caller asks. Left multiplication
-relabels symbols and commutes with the generators, so it is a vertex-transitive
-group of automorphisms (:class:`LeftTranslations`, whose translates are ranked
-the same way); the subset scans use a built graph's own to test only the fault
-sets through vertex 0, and any other graph takes the full scan.
+``even_rank`` / ``rank``, so id 0 is the identity. Generators act on
+positions, so each is a position table (g_i- is g_i+ read twice), and
+:func:`_sorted_ids` ranks every label read at every table at once, on ints
+with one W-bit field per vertex (see :func:`_field_ranks`), then sorts each
+vertex's ids with a compare-exchange network. ``CayleyGraph.labels`` keeps
+the symbol tuples; ``label(v)`` wraps one in a :class:`~kappalab.perms.Perm`
+on request. Left multiplication relabels symbols and commutes with the
+generators, so it is a vertex-transitive group of automorphisms
+(:class:`LeftTranslations`), which a built graph carries: the subset scans
+use it to test only the fault sets through vertex 0, and a census to keep
+one fault per orbit; any other graph takes the full scan.
 
-A :class:`BitGraph` holds sorted neighbour lists only. Its ``adj_masks``,
-one bitmask per vertex, are derived from them the first time a subset scan
-reads them, so building and cutting ``AG_8`` never holds its V^2 bits. Its
-``connected`` flag is found by one walk on first read, except on a built
-graph, which carries it: the generators generate A_n or S_n.
-Vertex sets are also bitmasks (bit v set iff v is in the set): :func:`mask_of`
-builds one and :func:`ids_of` lists one. ``ids_of`` walks the mask a 64-bit
-word at a time: one Python step per word and per set bit, linear in the mask
-length.
+A :class:`BitGraph` holds sorted neighbour lists only. Its ``adj_masks``
+(a bitmask per vertex) are derived when a subset scan first reads them, so
+building and cutting ``AG_8`` never holds its V^2 bits, and a graph not built
+here finds its ``connected`` flag by one walk on first read. Vertex sets are
+bitmasks (bit v set iff v is in the set), built by :func:`mask_of` and listed
+a 64-bit word at a time by :func:`ids_of`.
 """
 
 from __future__ import annotations
@@ -40,6 +34,7 @@ import itertools
 import math
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -296,9 +291,9 @@ class LeftTranslations:
     """The left multiplications p -> h p of a Cayley graph on permutations.
 
     Generators act on positions and h relabels symbols, so each h is an
-    automorphism. There is exactly one translation moving vertex 0 to any
-    given vertex w (h = the label of w), so every vertex set has a translate
-    through vertex 0. Its ``id_of`` dict is built on the first :meth:`orbit_size`.
+    automorphism. Exactly one, h = the label of w, moves vertex 0 to vertex
+    w, so every vertex set has a translate through vertex 0. Its ``id_of``
+    dict is built with the first table of :meth:`least_translates`.
     """
 
     def __init__(self, symbols):
@@ -314,25 +309,38 @@ class LeftTranslations:
         tables = [[s - 1 for s in self.symbols[v]] for v in fault]
         return list(_sorted_ids(self.symbols, tables)) if fault else [()] * len(self.symbols)
 
-    def orbit_size(self, fault_mask: int, tables: dict) -> int:
-        """V / |stabiliser of F| if F, a fault through 0, is its least pinned translate, else 0.
+    def least_translates(self, alive: list[int], lanes: int, tables: dict) -> tuple[int, Counter]:
+        """The ``lanes`` of a batch whose fault F (bit clear in ``alive[w]`` iff
+        F holds w; F holds 0) is the least of its translates p_v^-1 F, v in F.
 
-        F's translates through 0 are p_v^-1 F for v in F (p_v the label of v);
-        the stabiliser holds the p_v with p_v^-1 F = F. ``tables`` maps v to its
-        list u -> ``1 << id(p_v^-1 p_u)``, built on first use and kept for one scan.
+        p_v^-1 F (p_v the label of v) holds w iff F holds id(p_v p_w). For each
+        v >= 1, the kept lanes whose F holds v compare it with F from w = V-1
+        down and drop if it is the smaller mask. Also returns, by lane index,
+        the number of v with p_v^-1 F = F: a kept F's orbit has V / (1 + that
+        number) faults. ``tables`` keeps v's list w -> id(p_v p_w), w from V-1
+        down to 1, from its first use on, for one scan.
         """
-        members = ids_of(fault_mask)
-        fixed = 1
-        for v in members[1:]:
+        dead = [lanes & ~a for a in alive]
+        high = dead[:0:-1]  # vertices V-1 down to 1
+        fixed = Counter()
+        for v in range(1, len(dead)):
+            todo = lanes & dead[v]
+            if not todo:
+                continue
             table = tables.get(v)
             if table is None:
-                relabel = dict(zip(self.symbols[v], itertools.count(1))).__getitem__  # p_v^-1
-                table = tables[v] = [1 << self.id_of[tuple(map(relabel, s))] for s in self.symbols]
-            moved = sum(map(table.__getitem__, members))  # distinct bits: the sum is the OR
-            if moved < fault_mask:
-                return 0
-            fixed += moved == fault_mask
-        return len(self.symbols) // fixed
+                h = (0,) + self.symbols[v]  # p_v, read at 1-based symbols
+                table = tables[v] = [self.id_of[tuple(map(h.__getitem__, p))]
+                                     for p in self.symbols[:0:-1]]
+            for f, u in zip(high, table):
+                diff = (dead[u] ^ f) & todo  # the lanes where exactly one holds w
+                if diff:
+                    lanes ^= diff & f  # F holds w, its translate does not
+                    todo ^= diff
+                    if not todo:
+                        break
+            fixed.update(ids_of(todo))  # p_v^-1 F = F
+        return lanes, fixed
 
     def orbits(self, faults) -> tuple[tuple[int, ...], ...]:
         """Every translate of every fault, once each, sorted by (size, ids)."""

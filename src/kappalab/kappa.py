@@ -16,26 +16,20 @@ l components or fewer than l vertices. Three tiers:
 :func:`hyper_connectivity_scan` censuses all minimum-size cuts.
 
 Every subset scan (the exhaustive tier, the hyper scan and the
-cut-structure censuses in :mod:`kappalab.lemmas`) runs on one engine in lane
-space, ``SCAN_BATCH`` faults at a time, one bit lane per fault.
-:func:`scan_tasks` splits a level into jobs-independent tasks, each an
-interval of lex ranks; :func:`lex_batches` hands over an interval's faults
-in lex order already transposed, from the combination patterns of the lex
-recursion. The sampled censuses bring their own lane source, which marks
-each vertex in its draw's lane as it is drawn (``lemmas._draw_lanes``).
-A batch is a list of V ints, bit j of ``alive[v]`` set iff vertex v survives
-fault j. :func:`scan_hits` runs :func:`~kappalab.connectivity.split_lanes`
-on each batch and yields the mask of each fault leaving enough components,
-read back from the vertices dead in its lane. The level scan stops at the
-first hit; the hyper scan and the cut-structure censuses of
-:mod:`kappalab.lemmas` are censuses, all run by :func:`run_census`; the
-hyper scan's rule and the n >= 5 rules are :class:`SmallParts` data. On a
-graph returned by ``build_ag`` or ``build_splitstar``, which carries its
-:func:`left_translations`, :func:`scan_tasks` keeps only the fault sets
-through vertex 0, the first C(V-1, k-1) ranks of level k; a census examines
-only the least of each orbit's translates among them, weighted by the orbit
-size (:meth:`~kappalab.graphs.LeftTranslations.orbit_size`). ``explored`` and
-``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
+cut-structure censuses) runs on one engine in lane space, ``SCAN_BATCH``
+faults at a time: a batch is a list of V ints, bit j of ``alive[v]`` set iff
+vertex v survives fault j. :func:`scan_tasks` splits a level into
+jobs-independent intervals of lex ranks, and :func:`lex_batches` sets an
+interval's lanes from the patterns of the lex recursion; the sampled
+censuses set theirs as they draw (``lemmas._draw_lanes``). :func:`scan_hits`
+filters each batch with :func:`~kappalab.connectivity.split_lanes` and reads
+back the mask of each fault leaving enough components. The level scan stops
+at the first hit; :func:`run_census` reduces the others. A graph from
+``build_ag`` or ``build_splitstar`` carries its :func:`left_translations`:
+only its fault sets through vertex 0 are scanned, and a census keeps on the
+lanes only each orbit's least translate among them, weighted by its orbit
+size (``least_translates``). ``explored`` and ``scanned`` count the subsets
+covered, ``evaluated`` the subsets tested.
 """
 
 from __future__ import annotations
@@ -241,24 +235,26 @@ def lex_batches(V: int, k: int, lo: int, hi: int):
         yield [lanes ^ p for p in pats]
 
 
-def scan_hits(G: BitGraph, batches, need: int):
-    """The mask of each fault leaving at least ``need`` components, in lane order.
+def scan_hits(G: BitGraph, batches, need: int, translations=None, tables=None):
+    """``(mask, weight)`` of each fault leaving at least ``need`` (>= 2) components, in lane order.
 
-    This is the one subset-scan engine. Its two reducers are the level scan
-    and :func:`run_census`, which finds each hit's components with
-    :func:`component_masks`. Each lane batch is filtered by
-    :func:`split_lanes`; only the lanes it flags are read back into a fault
-    mask, the vertices dead in the lane. ``need`` must be at least 2.
+    The one subset-scan engine: only the lanes :func:`split_lanes` flags are
+    read back, as the vertices dead in the lane, of weight 1. With
+    ``translations`` (every fault holds 0), its ``least_translates`` (tables
+    kept in ``tables``) first drops each flagged lane but every orbit's least
+    translate, which is weighted by its orbit size.
     """
     if need < 2:
         raise ValueError("need must be >= 2")
+    orbit, fixed = (1 if translations is None else G.vertex_count), Counter()
     for alive in batches:
         flagged = split_lanes(G.neighbors, alive, need)
-        while flagged:
-            low = flagged & -flagged
-            flagged ^= low
-            # one binary digit per vertex, vertex V-1 first: "1" where it is dead
-            yield int("".join(["0" if a & low else "1" for a in reversed(alive)]), 2)
+        if translations is not None:
+            flagged, fixed = translations.least_translates(alive, flagged, tables)
+        for j in ids_of(flagged):
+            low = 1 << j  # read back one digit per vertex, V-1 first: "1" where it is dead
+            yield (int("".join(["0" if a & low else "1" for a in reversed(alive)]), 2),
+                   orbit // (1 + fixed.get(j, 0)))
 
 
 @dataclass(frozen=True)
@@ -286,21 +282,16 @@ def _census(task):
     ``faults(task)`` gives the task's lane batches and fault count. Returns
     the violating faults, the outcome tally, the exceptional faults and the
     fault count; only the faults kept (or read by the rule) are listed as ids.
-    A pinned census (``translations`` set) examines only the least translate
-    through vertex 0 of each hit and tallies it by its orbit size (level 0,
-    the empty fault, cuts none of these connected graphs).
+    A pinned census gets one fault per orbit from :func:`scan_hits`, with its
+    orbit size as weight (level 0, the empty fault, cuts none of these graphs).
     """
     state = worker_state()
     G, rule, exceptional = state["graph"], state["rule"], state["exceptional"]
-    translations = state["translations"]
     batches, tested = state["faults"](task)
     violations: list[tuple[int, ...]] = []
     outcomes: Counter[str] = Counter()
     exc_faults: list[tuple[int, ...]] = []
-    for fm in scan_hits(G, batches, 2):
-        weight = translations.orbit_size(fm, state["tables"]) if translations else 1
-        if not weight:
-            continue
+    for fm, weight in scan_hits(G, batches, 2, state["translations"], state["tables"]):
         report = component_report(G.neighbors, fm, component_masks(G.adj_masks, G.full_mask ^ fm))
         outcomes[_signature(report)] += weight
         if not rule(G, report):
@@ -343,7 +334,7 @@ def _scan_level_worker(task):
     """First F (lex order) in this task's range with >= ell components."""
     state = worker_state()
     G, ell = state["graph"], state["ell"]
-    for fm in scan_hits(G, lex_batches(G.vertex_count, *task), ell):
+    for fm, _ in scan_hits(G, lex_batches(G.vertex_count, *task), ell):
         return ids_of(fm)
     return None
 
@@ -488,7 +479,8 @@ def kappa_ell_witness_search(
     no room for a family go uncounted. The search is exhaustive over families,
     so its cost grows steeply with B: on S_5^2 at l = 5, B = 1 returns 20 after
     188,826 families (0.6 s) and B = 2 passes 10^6 families in 3.1 s (2 cores,
-    Python 3.11.7).
+    Python 3.11.7). Where no family's cut qualifies, the result is the
+    fewer-than-l cut ``range(V - l + 1)``, of tier ``RULE_FEWER_THAN_ELL``.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -512,13 +504,12 @@ def kappa_ell_witness_search(
         fault = ids_of(fault_mask)
         if best is None or (size, fault) < best:
             best = (size, fault)
-    if best is None:
-        raise ValueError(f"no witness family with {ell - 1} parts of size <= {B}")
-    value, fault = best
+    fault = best[1] if best else tuple(range(G.vertex_count - ell + 1))  # the fewer-than-l cut
     witness = verify_cut(G, fault, ell)
     assert isinstance(witness, CutWitness)
-    return KappaResult(ell, value, Tier.WITNESS_UPPER_BOUND, witness, explored=explored,
-                       budget=budget, k_max=value, part_size_bound=B)
+    tier = Tier.WITNESS_UPPER_BOUND if best else Tier.RULE_FEWER_THAN_ELL
+    return KappaResult(ell, len(fault), tier, witness, explored=explored,
+                       budget=budget, k_max=len(fault), part_size_bound=B)
 
 
 def remark_independent_set(G: CayleyGraph, size: int, i: int, j: int) -> tuple[int, ...]:
@@ -648,10 +639,10 @@ def hyper_connectivity_scan(
     :func:`~kappalab.connectivity.vertex_connectivity`). This is the census
     of the one level kappa under the rule ``SmallParts({singleton}, {})``:
     its exceptional cuts are the cuts that rule refuses, every cut except
-    those leaving exactly two components, one a singleton. On
-    AG_n and S_n^2 only the least translate through vertex 0 of each cut is
-    examined, counted once per member of its orbit; the exceptional cuts are
-    expanded to orbits.
+    those leaving exactly two components, one a singleton. On AG_n and S_n^2
+    the census reads back only the least translate through vertex 0 of each
+    cut, counted once per member of its orbit, and expands the exceptional
+    cuts to orbits.
     """
     V = G.vertex_count
     if not 0 <= kappa <= V:

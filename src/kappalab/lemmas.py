@@ -580,11 +580,12 @@ def verify_cut_structure(
     skipped.
 
     An exhaustive census on a graph from ``build_ag`` or ``build_splitstar``
-    examines one fault per orbit, the least translate through vertex 0 (every
-    outcome is the same on all translates), and tallies it by its orbit size;
-    fault lists are expanded to orbits, sorted by (size, ids) as the full scan
-    lists them. ``instances_checked`` still counts every fault covered. Edited
-    or hand-made graphs and sampled runs examine every fault they cover.
+    reads back one fault per orbit, the least translate through vertex 0, and
+    drops the others on the lanes (every outcome is the same on all
+    translates); it tallies that fault by its orbit size, and expands fault
+    lists to orbits, sorted by (size, ids) as the full scan lists them.
+    ``instances_checked`` still counts every fault covered. Edited or
+    hand-made graphs and sampled runs examine every fault they cover.
     """
     if not isinstance(rule, str) or rule not in CUT_RULES:
         raise ValueError(f"unknown cut-structure rule {rule!r}")

@@ -702,14 +702,14 @@ def test_witness_output_is_byte_identical(capsys, monkeypatch, argv, code, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_witness_search_without_a_family_is_usage_error(capsys):
-    # AG_4 has no five pairwise nonadjacent vertices
+def test_witness_search_without_a_family_takes_the_fewer_than_ell_cut(capsys):
+    # AG_4 has no five pairwise nonadjacent vertices, so only the cut of
+    # 12 - 6 + 1 vertices, leaving fewer than l, qualifies
     code = main(["kappa", "--family", "ag", "--n", "4", "--ell", "6", "--witness"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "kappalab: no witness family with 5 parts of size <= 1\n"
-    assert "Traceback" not in captured.err
+    assert (code, captured.err) == (0, "")
+    result = json.loads(captured.out)
+    assert (result["value"], result["tier"], result["explored"]) == (7, "RuleFewerThanEll", 0)
 
 
 def test_witness_cut_leaving_fewer_than_ell_vertices_is_found(capsys):

@@ -23,11 +23,12 @@ from kappalab import graphs, kappa, lemmas
 from kappalab.connectivity import components
 from kappalab.graphs import (BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations,
                              mask_of)
-from kappalab.kappa import PAPER_SETS, hyper_connectivity_scan, kappa_ell_exhaustive, scan_tasks
+from kappalab.kappa import (PAPER_SETS, SCAN_BATCH, hyper_connectivity_scan, kappa_ell_exhaustive,
+                            scan_tasks)
 from kappalab.lemmas import CUT_RULES, verify_cut_structure
 from kappalab.perms import Perm
 
-from .oracles import lex_fault_masks
+from .oracles import id_batches, lex_fault_masks
 from .test_lemmas import add_edge, drop_edge
 
 
@@ -105,9 +106,12 @@ class TestGate:
         finally:
             tracemalloc.stop()
         assert tr is not None and peak < 64_000
-        assert "id_of" not in vars(tr)  # built by the first orbit_size, not by the build
-        assert tr.orbit_size(mask_of((0, G.neighbors[0][0])), {}) > 0
+        assert "id_of" not in vars(tr)  # built with the lane pass's first table, not by the build
+        u, tables = G.neighbors[0][0], {}
+        alive = next(id_batches(G.vertex_count, [(0, u)]))
+        assert lane_weights(tr, G.vertex_count, alive, 1, tables) == {0: G.vertex_count}
         assert len(vars(tr)["id_of"]) == G.vertex_count
+        assert list(tables) == [u]  # one table for the one v >= 1 in a fault, not V of them
 
     def test_copies_keep_the_translations(self, ag4, full_scan):
         built = left_translations(ag4)
@@ -139,24 +143,35 @@ class TestGate:
             assert all(fm & 1 for fm in faults)
 
 
+def lane_weights(tr, V, alive, lanes, tables):
+    """``{lane: orbit size}`` of the lanes that ``least_translates`` keeps."""
+    kept, fixed = tr.least_translates(alive, lanes, tables)
+    return {j: V // (1 + fixed[j]) for j in range(kept.bit_length()) if kept >> j & 1}
+
+
 class TestOrbitSize:
     @pytest.mark.parametrize("graph,k_max", [("ag4", 6), ("s4", 4)])
     def test_weights_the_least_pinned_translate_by_its_orbit(self, graph, k_max, request):
         G = request.getfixturevalue(graph)
         tr, V, tables = left_translations(G), G.vertex_count, {}
-        stabilised = 0
+        # every pinned k-set, k <= k_max: a batch of 1,024 lanes on AG_4, a full one on S_4^2
+        faults = [(0,) + rest for k in range(1, k_max + 1)
+                  for rest in itertools.combinations(range(1, V), k - 1)]
+        want = {}  # lane -> orbit size, where the fault's mask is the least of its pinned translates
+        for j, fault in enumerate(faults):
+            translates = tr.translates(fault)
+            if mask_of(fault) == min(mask_of(t) for t in translates if 0 in t):
+                want[j] = len(set(translates))
+        (alive,) = id_batches(V, faults)
+        lanes = (1 << len(faults)) - 1
+        assert (len(faults) < SCAN_BATCH) == (graph == "ag4")
+        assert lane_weights(tr, V, alive, lanes, tables) == want
+        some = lanes & random.Random(k_max).getrandbits(len(faults))  # unflagged lanes stay out
+        assert lane_weights(tr, V, alive, some, tables) == {
+            j: w for j, w in want.items() if some >> j & 1}
         for k in range(1, k_max + 1):
-            level = 0
-            for rest in itertools.combinations(range(1, V), k - 1):
-                fm = mask_of((0,) + rest)
-                translates = tr.translates((0,) + rest)
-                least = min(mask_of(t) for t in translates if 0 in t)
-                weight = tr.orbit_size(fm, tables)
-                assert weight == (len(set(translates)) if fm == least else 0), rest
-                stabilised += 0 < weight < V
-                level += weight
-            assert level == math.comb(V, k)
-        assert stabilised == {"ag4": 30, "s4": 62}[graph]
+            assert sum(w for j, w in want.items() if len(faults[j]) == k) == math.comb(V, k)
+        assert sum(w < V for w in want.values()) == {"ag4": 30, "s4": 62}[graph]
         assert set(vars(tr)) == {"symbols", "id_of"}  # the tables stay with the caller
 
     @pytest.mark.parametrize("graph,ids,weight", [("ag4", (0, 3, 8, 11), 3), ("s4", None, 6)])
@@ -164,7 +179,8 @@ class TestOrbitSize:
         G = request.getfixturevalue(graph)
         S = tuple(sorted(G.vertex_id(Perm(p)) for p in PAPER_SETS[G.family]))
         assert ids is None or S == ids
-        assert left_translations(G).orbit_size(mask_of(S), {}) == weight
+        alive = next(id_batches(G.vertex_count, [S]))
+        assert lane_weights(left_translations(G), G.vertex_count, alive, 1, {}) == {0: weight}
         if ids:  # AG_4's exceptional hyper cut
             assert S in hyper_connectivity_scan(G, 4).exceptional
 
