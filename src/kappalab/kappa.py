@@ -3,8 +3,8 @@
 kappa_l(G) is the minimum number of vertices whose removal leaves at least
 l components or fewer than l vertices. Three tiers:
 
-* :func:`kappa_ell_exhaustive` - level-by-level subset enumeration; exact,
-  and the oracle every other tier is judged against.
+* :func:`kappa_ell_exhaustive` - whole-level subset scans searched downward;
+  exact, and the oracle every other tier is judged against.
 * :func:`kappa_ell_witness_search` - bounded search over the families of l-1
   disjoint, pairwise nonadjacent, connected parts that :func:`witness_families`
   lists; always an upper bound.
@@ -23,19 +23,21 @@ jobs-independent intervals of lex ranks, and :func:`lex_batches` sets an
 interval's lanes from the patterns of the lex recursion; the sampled
 censuses set theirs as they draw (``lemmas._draw_lanes``). :func:`scan_hits`
 filters each batch with :func:`~kappalab.connectivity.split_lanes` and reads
-back the mask of each fault leaving enough components. The level scan stops
-at the first hit; :func:`run_census` reduces the others. A graph from
-``build_ag`` or ``build_splitstar`` carries its :func:`left_translations`:
-only its fault sets through vertex 0 are scanned, and a census keeps on the
-lanes only each orbit's least translate among them, weighted by its orbit
-size (``least_translates``). ``explored`` and ``scanned`` count the subsets
-covered, ``evaluated`` the subsets tested.
+back the mask of each fault leaving enough components. A level scan stops
+at its first hit; a cut-free level has none below it, so the exact tier
+searches its levels downward. :func:`run_census` reduces a census's hits.
+A graph from ``build_ag`` or ``build_splitstar`` carries its
+:func:`left_translations`: only its fault sets through vertex 0 are
+scanned, and a census keeps on the lanes only each orbit's least translate,
+weighted by its orbit size (``least_translates``). ``explored`` and
+``scanned`` count the subsets covered, ``evaluated`` the subsets tested.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,7 +175,22 @@ def comb_lex_rank(comb: tuple[int, ...], n: int) -> int:
     return rank
 
 
-def scan_tasks(V: int, k: int, pinned: bool) -> list[tuple[int, int, int]]:
+class _LevelTasks(Sequence):
+    """The tasks of :func:`scan_tasks`, each made from its first rank in ``starts`` when read."""
+
+    def __init__(self, k: int, total: int, starts: range):
+        self.k, self.total, self.starts = k, total, starts
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _LevelTasks(self.k, self.total, self.starts[i])
+        return self.k, self.starts[i], min(self.starts[i] + TASK_RANKS, self.total)
+
+
+def scan_tasks(V: int, k: int, pinned: bool) -> Sequence[tuple[int, int, int]]:
     """The ``(k, lo, hi)`` tasks of a level-k scan: consecutive lex-rank
     intervals ``lo..hi-1`` of the k-subsets of ``range(V)``, each
     ``TASK_RANKS`` long but the last, independent of the job count.
@@ -182,7 +199,7 @@ def scan_tasks(V: int, k: int, pinned: bool) -> list[tuple[int, int, int]]:
     ``C(V-1, k-1)`` ranks of the level.
     """
     total = math.comb(V - 1, k - 1) if pinned and k else math.comb(V, k)
-    return [(k, lo, min(lo + TASK_RANKS, total)) for lo in range(0, total, TASK_RANKS)]
+    return _LevelTasks(k, total, range(0, total, TASK_RANKS))
 
 
 def _lex_patterns(pats: list[int], e0: int, m: int, r: int, lo: int, hi: int, at: int, blocks):
@@ -346,13 +363,16 @@ def kappa_ell_exhaustive(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> KappaResult:
-    """Exact kappa_l by enumerating fault sets level by level in lex order.
+    """Exact kappa_l by scanning whole levels of fault sets in lex order.
 
-    Levels are scanned in ascending size, so the first qualifying size is the
-    exact value. The fewer-than-l-vertices clause fires at |V| - l + 1
-    without enumeration. A level is only scanned when it fits the remaining
-    subset budget whole; otherwise the result is inconclusive above the last
-    completed level.
+    Below the fewer-than-l-vertices clause at k = |V| - l + 1, a k-set cut
+    stays one with a vertex added from a component of two or more vertices,
+    or else from its l + 1 or more singletons. So the search scans ``top``,
+    the last level under the clause and ``k_max`` that fits the budget whole
+    with all below it, then ``top - 1, top - 3, top - 7, ...`` while they
+    cut, and bisects to the lowest cutting level, the value, whose lex-first
+    hit is the witness. ``explored`` counts as an ascending scan would (the
+    levels below and the hit's rank + 1); ``evaluated`` the subsets tested.
 
     On AG_n and S_n^2 a level k >= 1 tests only the k-sets through vertex 0:
     a translate of any cut through 0 is a cut, and those sets come first in
@@ -367,43 +387,33 @@ def kappa_ell_exhaustive(
     V = G.vertex_count
     rule_k = max(V - ell + 1, 0)
     cap = rule_k if k_max is None else min(k_max, rule_k)
-    explored = evaluated = 0
-    pinned = left_translations(G) is not None
-    state = {"graph": G, "ell": ell}
-    with TaskRunner(jobs, state) as runner:
-        for k in range(cap + 1):
-            if k == rule_k:
-                fault = tuple(range(k))
-                witness = verify_cut(G, fault, ell)
-                assert isinstance(witness, CutWitness)
-                return KappaResult(
-                    ell, k, Tier.RULE_FEWER_THAN_ELL, witness, explored, budget, cap,
-                    evaluated=evaluated,
-                )
-            level = math.comb(V, k)
-            if explored + level > budget:
-                return KappaResult(
-                    ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap,
-                    inconclusive_above=k - 1, evaluated=evaluated,
-                )
-            tasks = scan_tasks(V, k, pinned)
-            hit = runner.first_hit(_scan_level_worker, tasks)
-            if hit is not None:
-                # a pinned hit holds vertex 0, so its lex rank is the same in both scans
-                before_hit = comb_lex_rank(hit, V) + 1
-                explored += before_hit
-                evaluated += before_hit
-                witness = verify_cut(G, hit, ell)
-                assert isinstance(witness, CutWitness)
-                return KappaResult(
-                    ell, k, Tier.EXHAUSTIVE, witness, explored, budget, cap,
-                    evaluated=evaluated,
-                )
-            explored += level
-            evaluated += tasks[-1][2]  # the pinned or whole level's rank count
-    return KappaResult(
-        ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap, evaluated=evaluated
-    )
+    top, explored = -1, 0  # the last level the budget covers whole, and the subsets up to it
+    while top < min(cap, rule_k - 1) and explored + math.comb(V, top + 1) <= budget:
+        top += 1
+        explored += math.comb(V, top)
+    lo, hi, step, hit, evaluated = -1, top + 1, 1, None, 0  # levels <= lo are cut-free, hi cuts
+    with TaskRunner(jobs, {"graph": G, "ell": ell}) as runner:
+        while lo + 1 < hi:  # gallop down from top until a level is cut-free, then bisect
+            k = max(top + 1 - step, 0) if lo < 0 else (lo + hi) // 2
+            tasks = scan_tasks(V, k, left_translations(G) is not None)
+            level_hit = runner.first_hit(_scan_level_worker, tasks)
+            if level_hit is None:
+                lo = k
+                evaluated += tasks[-1][2]  # the pinned or whole level's rank count
+            else:  # a pinned hit holds vertex 0, so its lex rank is the same in both scans
+                hi, hit, step = k, level_hit, 2 * step
+                evaluated += comb_lex_rank(hit, V) + 1
+    if hit is not None:
+        explored = sum(math.comb(V, j) for j in range(hi)) + comb_lex_rank(hit, V) + 1
+        value, tier, fault = hi, Tier.EXHAUSTIVE, hit
+    elif top + 1 == rule_k <= cap:
+        value, tier, fault = rule_k, Tier.RULE_FEWER_THAN_ELL, tuple(range(rule_k))
+    else:  # no value: the budget stopped the search above top, or else k_max did
+        return KappaResult(ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap,
+                           inconclusive_above=top if top < cap else None, evaluated=evaluated)
+    witness = verify_cut(G, fault, ell)
+    assert isinstance(witness, CutWitness)
+    return KappaResult(ell, value, tier, witness, explored, budget, cap, evaluated=evaluated)
 
 
 def _connected_parts(adj, anchor: int, max_size: int, banned: int):

@@ -2,7 +2,8 @@
 
 Everything in here is deliberately naive: dict-of-sets adjacency, full
 subset enumeration, no bitmasks, no early exits shared with the code under
-test.
+test. The one exception is :func:`ascending_kappa_ell`, the unreduced order
+of the exhaustive tier's level search: it is given each level's first cut.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import random
 
 from kappalab.connectivity import mask_of
 from kappalab.graphs import BitGraph
-from kappalab.kappa import SCAN_BATCH
+from kappalab.kappa import SCAN_BATCH, KappaResult, Tier, comb_lex_rank, verify_cut
 from kappalab.perms import even_rank, even_unrank, exchange, rank, rot_minus, rot_plus, unrank
 
 
@@ -120,6 +121,40 @@ def oracle_kappa_ell(adj, ell):
             if len(oracle_components(adj, F)) >= ell:
                 return k
     raise AssertionError("unreachable: removing everything leaves 0 < ell vertices")
+
+
+def oracle_first_cut(G, k, ell):
+    """The lex-first k-subset of G's vertices whose removal leaves at least
+    ``ell`` components, or None."""
+    adj = adjacency_dict(G)
+    return next((F for F in itertools.combinations(range(G.vertex_count), k)
+                 if len(oracle_components(adj, F)) >= ell), None)
+
+
+def ascending_kappa_ell(G, ell, k_max, budget, first_cut):
+    """The result ``kappa_ell_exhaustive`` must give, from levels 0, 1, 2, ...
+    scanned whole in turn: the first to cut gives the value and its lex-first
+    cut ``first_cut(k)`` (None if the level holds no cut) the witness, unless
+    the fewer-than-l clause at |V| - l + 1 comes first, ``k_max`` is passed
+    or a level does not fit what is left of the budget."""
+    V = G.vertex_count
+    rule_k = max(V - ell + 1, 0)
+    cap = rule_k if k_max is None else min(k_max, rule_k)
+    explored = 0
+    for k in range(cap + 1):
+        if k == rule_k:
+            witness = verify_cut(G, tuple(range(k)), ell)
+            return KappaResult(ell, k, Tier.RULE_FEWER_THAN_ELL, witness, explored, budget, cap)
+        if explored + math.comb(V, k) > budget:
+            return KappaResult(ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap,
+                               inconclusive_above=k - 1)
+        hit = first_cut(k)
+        if hit is not None:
+            explored += comb_lex_rank(hit, V) + 1
+            return KappaResult(ell, k, Tier.EXHAUSTIVE, verify_cut(G, hit, ell), explored,
+                               budget, cap)
+        explored += math.comb(V, k)
+    return KappaResult(ell, None, Tier.EXHAUSTIVE, None, explored, budget, cap)
 
 
 def random_connected_graph(rng: random.Random, max_vertices=14):

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import functools
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -52,6 +54,7 @@ from kappalab.perms import Perm
 
 from .oracles import (
     adjacency_dict,
+    ascending_kappa_ell,
     id_batches,
     lex_fault_masks,
     oracle_lanes,
@@ -224,6 +227,111 @@ class TestExhaustive:
     def test_rejects_negative_k_max(self, ag4):
         with pytest.raises(ValueError, match="k_max"):
             kappa_ell_exhaustive(ag4, 3, k_max=-1)
+
+
+K_MAXES = (None, 0, 1, 3, 5, 7, 9, 30)
+BUDGETS = (0, 1, 13, 100, 5000, 10**5, 10**8)
+
+
+def lane_first_cuts(G, ell):
+    """Level k's lex-first cut (or None) from one unpinned lane scan of the
+    whole level, kept per k."""
+    V = G.vertex_count
+
+    @functools.cache
+    def first_cut(k):
+        hits = scan_hits(G, lex_batches(V, k, 0, math.comb(V, k)), ell)
+        return next((ids_of(fm) for fm, _ in hits), None)
+
+    return first_cut
+
+
+def component_lists(G):
+    """Every subset of G's vertices, in lex order by size, mapped to the
+    components it leaves."""
+    adj, V = adjacency_dict(G), G.vertex_count
+    return {F: oracle_components(adj, F)
+            for k in range(V + 1) for F in itertools.combinations(range(V), k)}
+
+
+def random_small_graphs(seed, count):
+    """``count`` seeded random graphs of 1..11 vertices, sparse to dense."""
+    rng = random.Random(seed)
+    for i in range(count):
+        V, p = 1 + i % 11, rng.choice((0.15, 0.4, 0.7))
+        yield BitGraph.from_edges(V, [e for e in itertools.combinations(range(V), 2)
+                                      if rng.random() < p])
+
+
+def as_json(G, result):
+    return json.dumps(result.to_json_dict(G))
+
+
+class TestDownwardSearch:
+    """The level search against :func:`ascending_kappa_ell`, the ascending
+    scan of every level from 0, on every ``k_max`` and budget case, and the
+    lemma that lets it skip levels."""
+
+    @pytest.fixture(scope="class")
+    def cayley_cuts(self):
+        kept = {}  # (graph, ell) -> the level scans of lane_first_cuts
+        return lambda G, ell: kept.setdefault((id(G), ell), lane_first_cuts(G, ell))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("graph", ["ag4", "s4"])
+    def test_cayley_graphs_match_ascending_scan(self, graph, jobs, cayley_cuts, cpus, request):
+        cpus(2)
+        G = request.getfixturevalue(graph)
+        tiers = collections.Counter()
+        for ell in range(2, 9):
+            first_cut = cayley_cuts(G, ell)
+            for k_max, budget in itertools.product(K_MAXES, BUDGETS):
+                got = kappa_ell_exhaustive(G, ell, k_max, budget, jobs)
+                want = ascending_kappa_ell(G, ell, k_max, budget, first_cut)
+                assert as_json(G, got) == as_json(G, want), (ell, k_max, budget)
+                tiers[got.tier, got.value is None, got.inconclusive] += 1
+        # values, definite and budget-stopped blanks, and on AG_4 fewer-than-l values
+        assert len(tiers) == {"ag4": 4, "s4": 3}[graph]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_random_graphs_match_ascending_scan(self, jobs, cpus):
+        cpus(2)
+        disconnected = 0
+        for G in random_small_graphs(35, 33):
+            counts = {F: len(comps) for F, comps in component_lists(G).items()}
+            V = G.vertex_count
+            disconnected += counts[()] >= 2
+            for ell in range(2, V + 3):
+                def first_cut(k):
+                    return next((F for F in itertools.combinations(range(V), k)
+                                 if counts[F] >= ell), None)
+
+                for k_max, budget in itertools.product(K_MAXES, BUDGETS):
+                    got = kappa_ell_exhaustive(G, ell, k_max, budget, jobs)
+                    want = ascending_kappa_ell(G, ell, k_max, budget, first_cut)
+                    assert as_json(G, got) == as_json(G, want), (V, ell, k_max, budget)
+        assert disconnected >= 5
+
+    @pytest.mark.parametrize("graph", ["ag4", "random"])
+    def test_a_cut_stays_one_with_a_vertex_added(self, graph, request):
+        # Removing a vertex of a component of two or more vertices never
+        # lowers the count, removing a singleton lowers it by one; so a k-set
+        # leaving l components, k < |V| - l (so l + 1 singletons if all are),
+        # has a (k + 1)-superset that does, and the levels below the clause
+        # at |V| - l + 1 that hold an l-cut are the top ones.
+        graphs = [request.getfixturevalue("ag4")] if graph == "ag4" else random_small_graphs(7, 22)
+        for G in graphs:
+            comps = component_lists(G)
+            V = G.vertex_count
+            for F, parts in comps.items():
+                for part in parts:
+                    for v in part:
+                        grown = len(comps[tuple(sorted((*F, v)))])
+                        assert grown >= len(parts) if len(part) > 1 else grown == len(parts) - 1
+            for ell in range(2, V + 1):
+                cutting = [any(len(comps[F]) >= ell for F in itertools.combinations(range(V), k))
+                           for k in range(V - ell + 1)]
+                assert cutting == sorted(cutting), (V, ell)
 
 
 @pytest.mark.parametrize("scan", [
@@ -706,7 +814,7 @@ class TestScanHits:
         # crosses that lead, so vertex 0 is dead in its first lanes, alive after.
         # A reducer reads the first ``limit`` components of a hit itself.
         adj, full = s4.adj_masks, s4.full_mask
-        for task in scan_tasks(24, 7, True) + scan_tasks(24, 7, False)[3:4]:
+        for task in [*scan_tasks(24, 7, True), *scan_tasks(24, 7, False)[3:4]]:
             faults = list(lex_fault_masks(24, *task))
             want = [
                 (fm, component_masks(adj, full ^ fm, limit))
@@ -793,9 +901,11 @@ class TestLexBatches:
 
     def test_large_graph_scan_recurses_only_r_deep(self):
         # pinned level 2 of AG_7 is one task of C(2519, 1) = 2519 ranks, all
-        # below the element-0 lead, so the lex recursion is r = 2 deep
+        # below the element-0 lead, so the lex recursion is r = 2 deep; it is
+        # the search's top level (k_max = 2) and holds no cut, so it is the
+        # only level tested
         res = kappa_ell_exhaustive(build_ag(7), 2, k_max=2)
-        assert (res.value, res.explored, res.evaluated) == (None, 3_176_461, 2_521)
+        assert (res.value, res.explored, res.evaluated) == (None, 3_176_461, math.comb(2519, 1))
 
 
 class TestMaskBatches:
@@ -903,6 +1013,26 @@ class TestEnumerationHelpers:
                 assert tasks[-1][2] == total
                 assert all(hi - lo == TASK_RANKS for _, lo, hi in tasks[:-1])
                 assert 0 < tasks[-1][2] - tasks[-1][1] <= TASK_RANKS
+
+    def test_scan_tasks_of_a_huge_level_stay_lazy(self):
+        # C(119, 11), about 1.3 * 10**15 ranks in 4 * 10**10 tasks: a list of
+        # them could not be held, and each task is made only when read
+        total = math.comb(119, 11)
+        count = -(-total // TASK_RANKS)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tasks = scan_tasks(120, 12, True)
+            odd = tasks[1::2]
+            assert isinstance(tasks, collections.abc.Sequence) and len(tasks) == count
+            assert tasks[-1] == (12, (count - 1) * TASK_RANKS, total)
+            assert next(iter(tasks)) == tasks[0] == (12, 0, TASK_RANKS)
+            assert len(odd) == count // 2 and odd[0] == (12, TASK_RANKS, 2 * TASK_RANKS)
+            assert odd[-1] == tasks[count - 1 if count % 2 == 0 else count - 2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000
 
     def test_level_tasks_leave_no_garbage_cycles(self):
         gc.collect()

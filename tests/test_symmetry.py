@@ -23,12 +23,12 @@ from kappalab import graphs, kappa, lemmas
 from kappalab.connectivity import components
 from kappalab.graphs import (BitGraph, CayleyGraph, build_ag, build_splitstar, left_translations,
                              mask_of)
-from kappalab.kappa import (PAPER_SETS, SCAN_BATCH, hyper_connectivity_scan, kappa_ell_exhaustive,
-                            scan_tasks)
+from kappalab.kappa import (PAPER_SETS, SCAN_BATCH, Tier, comb_lex_rank, hyper_connectivity_scan,
+                            kappa_ell_exhaustive, scan_tasks)
 from kappalab.lemmas import CUT_RULES, verify_cut_structure
 from kappalab.perms import Perm
 
-from .oracles import id_batches, lex_fault_masks
+from .oracles import id_batches, lex_fault_masks, oracle_first_cut
 from .test_lemmas import add_edge, drop_edge
 
 
@@ -185,40 +185,79 @@ class TestOrbitSize:
             assert S in hyper_connectivity_scan(G, 4).exceptional
 
 
+def search_evaluated(G, r, cut_free, cutting, pinned):
+    """The subsets the level search behind ``r`` tests: the levels ``cut_free``
+    whole (only their sets through vertex 0 if ``pinned``), the levels
+    ``cutting`` up to their lex-first cuts, and the value's level up to the
+    witness (none for a fewer-than-l value)."""
+    V = G.vertex_count
+    whole = sum(math.comb(V - 1, k - 1) if pinned and k else math.comb(V, k) for k in cut_free)
+    hits = [oracle_first_cut(G, k, r.ell) for k in cutting]
+    if r.value is not None and r.tier is Tier.EXHAUSTIVE:
+        hits.append(r.witness.fault)
+    return whole + sum(comb_lex_rank(hit, V) + 1 for hit in hits)
+
+
 class TestLevelScan:
+    # The levels each search tests besides the value's: the cut-free ones and
+    # those that cut, above the value. On AG_4 at l = 2 it gallops 10, 9, 7,
+    # 3 and bisects 5, 4; at l = 3 it gallops 9, 8, 6, 2 and bisects 4, 5; at
+    # l = 4 it tests 8, 7; at l = 5 level 7 holds no cut, so the
+    # fewer-than-l clause at 8 is the value.
+    AG4_LEVELS = {2: ((3,), (10, 9, 7, 5)), 3: ((2, 4, 5), (9, 8)), 4: ((7,), ()), 5: ((7,), ())}
+
     @pytest.mark.parametrize("ell", [2, 3, 4, 5])
     def test_ag4_matches_full_scan(self, ag4, full_scan, ell):
         pinned = kappa_ell_exhaustive(ag4, ell)
         full = full_scan(kappa_ell_exhaustive, ag4, ell)
         assert pinned.to_json_dict(ag4) == full.to_json_dict(ag4)
-        assert full.evaluated == full.explored
+        cut_free, cutting = self.AG4_LEVELS[ell]
+        assert full.evaluated == search_evaluated(ag4, full, cut_free, cutting, pinned=False)
+        assert pinned.evaluated == search_evaluated(ag4, pinned, cut_free, cutting, pinned=True)
         assert pinned.evaluated < pinned.explored
+
+    # S_4^2: gallops 22, 21, 19, 15, 7, 0 and bisects 3, 5, 4 at l = 2;
+    # gallops 21, 20, 18, 14, 6 and bisects 10, 8, 7 at l = 3; k_max = 7 makes
+    # 7 the top level at l = 4 and 5, and it holds no cut
+    S4_LEVELS = {2: ((0, 3, 4), (22, 21, 19, 15, 7)), 3: ((6, 7), (21, 20, 18, 14, 10)),
+                 4: ((7,), ()), 5: ((7,), ())}
 
     @pytest.mark.parametrize("ell,k_max", [(2, None), (3, None), (4, 7), (5, 7)])
     def test_s4_matches_full_scan(self, s4, full_scan, ell, k_max):
         pinned = kappa_ell_exhaustive(s4, ell, k_max=k_max, jobs=2)
         full = full_scan(kappa_ell_exhaustive, s4, ell, k_max=k_max)
         assert pinned.to_json_dict(s4) == full.to_json_dict(s4)
-        assert pinned.evaluated < full.evaluated == full.explored
+        cut_free, cutting = self.S4_LEVELS[ell]
+        assert full.evaluated == search_evaluated(s4, full, cut_free, cutting, pinned=False)
+        assert pinned.evaluated == search_evaluated(s4, pinned, cut_free, cutting, pinned=True)
+        assert pinned.evaluated < full.evaluated
 
     def test_s4_ell2_counts(self, s4):
-        # kappa(S_4^2) = 5: levels 0..4 whole, level 5 up to the lex-first cut
+        # kappa(S_4^2) = 5: explored covers levels 0..4 whole and level 5 up
+        # to the lex-first cut, which the search reaches from above
         r = kappa_ell_exhaustive(s4, 2)
         assert r.value == 5 and 0 in r.witness.fault
         before = sum(math.comb(24, k) for k in range(5))
-        pinned_before = 1 + sum(math.comb(23, k - 1) for k in range(1, 5))
-        assert r.explored - before == r.evaluated - pinned_before
+        assert r.explored == before + comb_lex_rank(r.witness.fault, 24) + 1
+        assert r.evaluated == search_evaluated(s4, r, *self.S4_LEVELS[2], pinned=True)
 
     def test_ag5_ell2_matches_full_scan(self, ag5, full_scan):
+        # top is level 6 (levels 0..7 would pass 10**8 subsets), which cuts;
+        # level 5 does not: 6,766,975 subsets tested in full, 1,760,589 pinned
         pinned = kappa_ell_exhaustive(ag5, 2, jobs=2)
         full = full_scan(kappa_ell_exhaustive, ag5, 2, jobs=2)
         assert pinned.to_json_dict(ag5) == full.to_json_dict(ag5)
-        assert (pinned.value, full.evaluated) == (6, 7_290_661)
-        assert pinned.evaluated == 1_794_870
+        to_witness = comb_lex_rank(pinned.witness.fault, 60) + 1
+        assert (pinned.value, full.evaluated) == (6, math.comb(60, 5) + to_witness)
+        assert pinned.evaluated == math.comb(59, 4) + to_witness
+        assert full.explored == sum(math.comb(60, k) for k in range(6)) + to_witness == 7_290_661
 
     def test_edited_graph_takes_full_scan(self, ag4):
-        r = kappa_ell_exhaustive(drop_edge(ag4, 0, ag4.neighbors[0][0]), 3)
-        assert r.evaluated == r.explored
+        # no translations: levels 9, 8 and 6 up to their first cuts, 2 and 4
+        # whole and 5 up to the witness, each among all its sets
+        G = drop_edge(ag4, 0, ag4.neighbors[0][0])
+        r = kappa_ell_exhaustive(G, 3)
+        assert r.evaluated == search_evaluated(G, r, (2, 4), (9, 8, 6), pinned=False)
 
 
 class TestHyperScan:
