@@ -36,7 +36,6 @@ from .kappa import (
     kappa_formula_text,
 )
 from .lemmas import (
-    BOUNDS_EXHAUSTIVE_MAX_N,
     CUT_RULES,
     N_RANGES,
     BudgetExceeded,
@@ -83,21 +82,16 @@ def _verify_cut_structure(G, bound, rule, mode, jobs, budget, **sampling):
                                 **sampling)
 
 
-def _bounds_sampled(args) -> bool:
-    return args.n > BOUNDS_EXHAUSTIVE_MAX_N[args.family]
-
-
 # lemma id -> (the family it is defined on, None for either; its verifier; the
 # options it reads besides SAMPLING, required unless in VERIFY_DEFAULTS;
 # whether a run samples, None for never)
 LEMMAS = {
     "basic": (FAMILY_AG, verify_basic_ag, (), None),
-    "neighbor-bounds": (FAMILY_AG, verify_neighbor_bounds, ("set_size",), _bounds_sampled),
+    "neighbor-bounds": (FAMILY_AG, verify_neighbor_bounds, ("set_size",), None),
     "claims": (FAMILY_AG, verify_claims_123, (), None),
     "cut-structure": (None, _verify_cut_structure, ("bound", "rule", "mode", "jobs", "budget"),
                       lambda args: args.mode == "sampled"),
-    "splitstar-bounds": (FAMILY_SPLIT_STAR, verify_neighbor_bounds, ("set_size",),
-                         _bounds_sampled),
+    "splitstar-bounds": (FAMILY_SPLIT_STAR, verify_neighbor_bounds, ("set_size",), None),
     "remark": (FAMILY_AG, verify_remark_constructions, (), None),
 }
 
@@ -303,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bound", type=int)
     p_verify.add_argument("--rule", choices=sorted(CUT_RULES))
     p_verify.add_argument("--mode", choices=["exhaustive", "sampled"])
-    p_verify.add_argument("--trials", type=int)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--trials", type=int,
+                          help="sampled faults; only cut-structure --mode sampled reads it")
+    p_verify.add_argument("--seed", type=int,
+                          help="sampling seed; only cut-structure --mode sampled reads it")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="reproduce the kappa_ell table as CSV")

@@ -442,36 +442,59 @@ def _connected_parts(adj, anchor: int, max_size: int, banned: int):
 
 def _later_parts(adj, max_size: int, blocked: int, start: int):
     """``(part, anchor)`` for the connected parts avoiding ``blocked``, anchors from ``start`` up."""
-    for a in range(start, len(adj)):
-        if not blocked >> a & 1:
-            for pmask in _connected_parts(adj, a, max_size, blocked | (1 << a) - 1):
-                yield pmask, a
+    free = ((1 << len(adj)) - 1 & ~blocked) >> start << start
+    while free:
+        low = free & -free
+        free ^= low
+        a = low.bit_length() - 1
+        for pmask in _connected_parts(adj, a, max_size, blocked | low - 1):
+            yield pmask, a
 
 
-def witness_families(adj, parts: int, B: int):
+def witness_families(adj, parts: int, B: int, cap: int | None = None):
     """``(union, nbhd)`` of each family of ``parts`` pairwise nonadjacent
-    connected parts of size <= B, the first through vertex 0.
+    connected parts of size <= B, the first through vertex 0, whose cut
+    N(union) = ``nbhd & ~union`` has fewer than ``cap`` vertices, if given.
 
     Lazy and depth first, parts in increasing least id, so at B = 1 the unions
-    are the independent ``parts``-sets through 0 in lex order. N(union) is
-    ``nbhd & ~union``. The stack is explicit: no depth hits the recursion limit.
+    are the independent ``parts``-sets through 0 in lex order. Later parts avoid
+    ``union | nbhd``, so a partial family's cut only grows: it is dropped once
+    the cut reaches ``cap``, and the rest come in their uncapped order. At B = 1
+    a vertex v adds deg(v) minus its neighbours in the cut, so once ``need =
+    cut + min degree - cap + 1`` is positive, only vertices with ``need`` such
+    neighbours come next (read off two planes: one such neighbour, and two).
+    The stack is explicit: no depth hits the recursion limit.
     """
-    # (union, nbhd, next parts) for each partial family on the current path
-    stack = [(0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
+    look = cap is not None and B == 1
+    min_deg = min(m.bit_count() for m in adj) if look else 0
+    # (union, nbhd, the two planes, next parts) for each partial family on the path
+    stack = [(0, 0, 0, 0, ((p, 0) for p in _connected_parts(adj, 0, B, 0)))]
     while stack:
-        union, nbhd, nexts = stack[-1]
+        union, nbhd, one, two, nexts = stack[-1]
         step = next(nexts, None)
         if step is None:
             stack.pop()
             continue
         pmask, a = step
         union |= pmask
+        grown = nbhd
         for v in ids_of(pmask):
-            nbhd |= adj[v]
+            grown |= adj[v]
+        cut = (grown & ~union).bit_count()
+        if cap is not None and cut >= cap:
+            continue
         if len(stack) == parts:
-            yield union, nbhd
-        else:
-            stack.append((union, nbhd, _later_parts(adj, B, union | nbhd, a + 1)))
+            yield union, grown
+            continue
+        blocked = union | grown
+        if look:
+            for u in ids_of(grown & ~nbhd):  # the vertices new to N(partial)
+                two |= one & adj[u]
+                one |= adj[u]
+            need = cut + min_deg - cap + 1
+            if need > 0:
+                blocked |= ~(one if need == 1 else two)
+        stack.append((union, grown, one, two, _later_parts(adj, B, blocked, a + 1)))
 
 
 def kappa_ell_witness_search(

@@ -6,24 +6,25 @@ the identity, and the allowed component structures under small vertex cuts.
 Every verifier takes the built graph first and reads its family and n from
 it, raising ``ValueError`` on a graph of another family or an n outside its
 range. Each returns a :class:`VerificationReport`; exhaustive runs check
-every instance, sampled runs draw seeded uniform fault sets (Fisher-Yates
-prefix, drawing from the stream exactly as ``random.Random.randrange`` does)
-and are reported as "consistent (sampled)", never as proved.
+every instance. Only the cut-structure census also samples: it draws seeded
+uniform fault sets (Fisher-Yates prefix, drawing from the stream exactly as
+``random.Random.randrange`` does) and reports them as "consistent (sampled)",
+never as proved.
 
 The cut-structure rules live here, keyed by family and bound (``ag-6n-20``:
 faults of up to 6n-20 vertices); the n >= 5 rules are rows of
 :class:`kappalab.kappa.SmallParts`. Their censuses, exhaustive and sampled,
 run on the census reducer :func:`kappalab.kappa.run_census`, which the hyper
-scan shares. This module only hands it the sampled faults: :func:`_draw_lanes`
-makes the draws of the sampler :func:`_subset_draws` and sets each drawn
-vertex's lane bit as it is drawn, never listing a draw's ids. The
-neighborhood bounds read their independent sets, sampled, from
-:func:`_subset_draws`, or, exhaustive, from :func:`kappalab.kappa.witness_families`.
+scan shares. This module only hands it the sampled faults: :func:`_draw_lanes`,
+the one sampler, sets each drawn vertex's lane bit as it is drawn, never
+listing a draw's ids (:func:`sample_subset` reads one draw back as ids). The
+neighborhood bounds are exact at every n they take: they read the independent
+sets through vertex 0 from :func:`kappalab.kappa.witness_families`, capped at
+the bound plus one, so only the sets at or under the bound are listed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -70,7 +71,6 @@ __all__ = [
     "CutStructureRule",
     "CUT_RULES",
     "rule_for",
-    "BOUNDS_EXHAUSTIVE_MAX_N",
     "N_RANGES",
     "check_scope",
     "verify_basic_ag",
@@ -207,115 +207,50 @@ def verify_basic_ag(G: CayleyGraph) -> VerificationReport:
 # neighborhood lower bounds over independent sets
 
 
-def _subset_draws(rng: random.Random, V: int, k: int):
-    """Endless uniform k-subsets of range(V) as vertex ids in draw order, by
-    Fisher-Yates prefix.
-
-    Step i draws as ``rng.randrange(i, V)`` does: ``getrandbits`` of the bit
-    length of V - i until below V - i.
-    """
-    if not 0 <= k <= V:
-        raise ValueError(f"subset size must be between 0 and {V}, got {k}")
-    getrandbits = rng.getrandbits
-    steps = [(i, V - i, (V - i).bit_length()) for i in range(k)]
-    ids = list(range(V))
-    while True:
-        pool = ids[:]
-        for i, n, b in steps:
-            r = getrandbits(b)
-            while r >= n:
-                r = getrandbits(b)
-            r += i
-            pool[i], pool[r] = pool[r], pool[i]
-        yield pool[:k]
-
-
-def _draw_lanes(rng: random.Random, V: int, k: int, trials: int):
-    """The first ``trials`` draws of :func:`_subset_draws`, from the same stream, as
-    lane batches of ``SCAN_BATCH`` draws: vertex v is dead in lane j iff draw j holds v.
-    Each vertex sets its lane bit as it is drawn; step i writes only position r, as
-    no later step reads position i."""
-    getrandbits = rng.getrandbits
-    steps = [(i, V - i, (V - i).bit_length()) for i in range(k)]
-    ids = list(range(V))
-    for start in range(0, trials, SCAN_BATCH):
-        dead = [0] * V
-        lanes = (1 << min(SCAN_BATCH, trials - start)) - 1
-        bit = 1
-        while bit <= lanes:
-            pool = ids[:]
-            for i, n, b in steps:
-                r = getrandbits(b)
-                while r >= n:
-                    r = getrandbits(b)
-                r += i
-                v = pool[r]
-                pool[r] = pool[i]
-                dead[v] |= bit
-            bit <<= 1
-        yield [lanes ^ d for d in dead]
-
-
-def sample_subset(rng: random.Random, V: int, k: int) -> list[int]:
-    """Uniform k-subset of range(V) by Fisher-Yates prefix, sorted."""
-    return sorted(next(_subset_draws(rng, V, k)))
-
-
-def _chunk_seed(seed: int, chunk: int) -> int:
-    return (seed * 0x9E3779B1 + chunk) & 0x7FFFFFFFFFFFFFFF
-
-
 # per family: the independent-set sizes and the lemma id prefix of the
 # neighborhood bounds
 NEIGHBOR_BOUNDS = {
     FAMILY_AG: ((3, 4), "neighbor-bounds"),
     FAMILY_SPLIT_STAR: ((2, 3, 4), "splitstar-bounds"),
 }
-# the largest n whose neighborhood bounds check every set; larger n sample
-BOUNDS_EXHAUSTIVE_MAX_N = {FAMILY_AG: 5, FAMILY_SPLIT_STAR: 4}
 
 
-def verify_neighbor_bounds(
-    G: CayleyGraph, set_size: int, trials: int = 100_000, seed: int = 0
-) -> VerificationReport:
+def verify_neighbor_bounds(G: CayleyGraph, set_size: int) -> VerificationReport:
     """|N(S)| >= kappa_{s+1}, the paper's formula, over independent s-sets S.
 
     On AG_n (4 <= n <= 6) the bounds are 6n-16 and 8n-24 for sizes 3 and 4;
     on S_n^2 (n in {4, 5}) they are 4n-8, 6n-14 and 8n-20 for sizes 2, 3 and
-    4. Exhaustive up to :data:`BOUNDS_EXHAUSTIVE_MAX_N`, sampled above it.
+    4. Exact at every n: the sets through vertex 0 come from
+    :func:`~kappalab.kappa.witness_families` capped at the bound plus one, so
+    ``instances_checked`` counts the sets with |N(S)| at or under the bound
+    (the sets the cap lets through) and ``min_attained`` is the exact minimum
+    whenever one of them exists. Where none does, every set exceeds the bound:
+    ``min_attained`` is None and a note says so.
     """
     check_scope("verify_neighbor_bounds", G.family, G.n)
     sizes, lemma = NEIGHBOR_BOUNDS[G.family]
     if set_size not in sizes:
         raise ValueError(f"set_size on {G.family} must be one of {sizes}, got {set_size}")
-    exhaustive = G.n <= BOUNDS_EXHAUSTIVE_MAX_N[G.family]
     bound = kappa_formula(G.family, set_size + 1, G.n)
-    if exhaustive:
-        sets = (ids_of(union) for union, _ in witness_families(G.adj_masks, set_size, 1))
-    else:
-        if trials < 0:
-            raise ValueError(f"trials must be >= 0, got {trials}")
-        # vertex 0 plus a draw from the other V - 1 vertices, shifted up by one
-        draws = _subset_draws(random.Random(seed), G.vertex_count - 1, set_size - 1)
-        candidates = ((0, *sorted(v + 1 for v in draw)) for draw in draws)
-        sets = itertools.islice((S for S in candidates if is_independent(G, S)), trials)
     violations: list[dict] = []
     checked = 0
     attained: int | None = None
-    for S in sets:
+    for union, nbhd in witness_families(G.adj_masks, set_size, 1, cap=bound + 1):
         checked += 1
-        got = len(neighborhood(G, S))
+        got = (nbhd & ~union).bit_count()
         if attained is None or got < attained:
             attained = got
         if got < bound:
             violations.append(
-                {"set": [G.label_text(v) for v in S], "neighborhood": got,
+                {"set": [G.label_text(v) for v in ids_of(union)], "neighborhood": got,
                  "bound": bound}
             )
+    notes = (PIN_NOTE,)
+    if attained is None:
+        notes += (f"every independent {set_size}-set has |N(S)| > {bound}: none attains the bound",)
     return VerificationReport(
-        f"{lemma}-{set_size}", G.family, G.n, "exhaustive" if exhaustive else "sampled",
-        checked, tuple(violations), trials=None if exhaustive else trials,
-        seed=None if exhaustive else seed, min_attained=attained, notes=(PIN_NOTE,),
+        f"{lemma}-{set_size}", G.family, G.n, "exhaustive", checked, tuple(violations),
+        min_attained=attained, notes=notes,
     )
 
 
@@ -538,6 +473,46 @@ def rule_for(family: str, n: int, bound: int) -> CutStructureRule:
         if rule.covers(family, n, bound):
             return rule
     raise ValueError(f"no cut-structure rule for family={family}, n={n}, bound={bound}")
+
+
+def _draw_lanes(rng: random.Random, V: int, k: int, trials: int):
+    """``trials`` uniform k-subsets of range(V) by Fisher-Yates prefix, as lane
+    batches of ``SCAN_BATCH`` draws: vertex v is dead in lane j iff draw j holds v.
+
+    Step i draws as ``rng.randrange(i, V)`` does: ``getrandbits`` of the bit
+    length of V - i until below V - i. Each vertex sets its lane bit as it is
+    drawn; step i writes only position r, as no later step reads position i."""
+    getrandbits = rng.getrandbits
+    steps = [(i, V - i, (V - i).bit_length()) for i in range(k)]
+    ids = list(range(V))
+    for start in range(0, trials, SCAN_BATCH):
+        dead = [0] * V
+        lanes = (1 << min(SCAN_BATCH, trials - start)) - 1
+        bit = 1
+        while bit <= lanes:
+            pool = ids[:]
+            for i, n, b in steps:
+                r = getrandbits(b)
+                while r >= n:
+                    r = getrandbits(b)
+                r += i
+                v = pool[r]
+                pool[r] = pool[i]
+                dead[v] |= bit
+            bit <<= 1
+        yield [lanes ^ d for d in dead]
+
+
+def sample_subset(rng: random.Random, V: int, k: int) -> list[int]:
+    """Uniform k-subset of range(V) by Fisher-Yates prefix, sorted: one draw of
+    :func:`_draw_lanes`, read back as the ids of its dead lanes."""
+    if not 0 <= k <= V:
+        raise ValueError(f"subset size must be between 0 and {V}, got {k}")
+    return [v for v, alive in enumerate(next(_draw_lanes(rng, V, k, 1))) if not alive]
+
+
+def _chunk_seed(seed: int, chunk: int) -> int:
+    return (seed * 0x9E3779B1 + chunk) & 0x7FFFFFFFFFFFFFFF
 
 
 def _sampled_faults(task):

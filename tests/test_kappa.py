@@ -591,6 +591,25 @@ class TestConnectedPartsEnumeration:
         for family, cut in got:
             assert cut == mask_of(neighborhood(G, set().union(*family)))
 
+    @pytest.mark.parametrize("graph", ["ag4", "s4", *range(8)])
+    def test_cap_yields_the_uncapped_families_under_it(self, graph, request):
+        # seeded random graphs are not regular, so the lookahead must take the
+        # least degree, not vertex 0's
+        if isinstance(graph, int):
+            rng = random.Random(graph)
+            n, p = rng.randint(6, 15), rng.uniform(0.15, 0.6)
+            adj = BitGraph.from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            ).adj_masks
+        else:
+            adj = request.getfixturevalue(graph).adj_masks
+        for B in (1, 2, 3):
+            for parts in (1, 2, 3, 4):
+                full = list(witness_families(adj, parts, B))
+                for cap in range(25):
+                    want = [f for f in full if (f[1] & ~f[0]).bit_count() < cap]
+                    assert list(witness_families(adj, parts, B, cap)) == want
+
 
 class TestPaperCuts:
     def test_ag4_ell4(self, ag4):

@@ -79,11 +79,11 @@ class TestNeighborBoundsAg:
         assert (r3.verdict, r3.min_attained) == ("consistent", 14)
         assert (r4.verdict, r4.min_attained) == ("consistent", 16)
 
-    def test_ag6_sampled(self, ag6):
-        report = verify_neighbor_bounds(ag6, 3, trials=2000, seed=5)
-        assert report.mode == "sampled"
-        assert report.verdict == "consistent (sampled)"
-        assert report.min_attained >= 6 * 6 - 16
+    def test_ag6_minima_exact(self, ag6):
+        for size, want in ((3, 20), (4, 24)):
+            report = verify_neighbor_bounds(ag6, size)
+            assert (report.mode, report.verdict, report.min_attained) == (
+                "exhaustive", "consistent", want)
 
     def test_mutation_control(self, ag4):
         corrupted = drop_edge(ag4, vid(ag4, "4321"), vid(ag4, "3241"))
@@ -98,8 +98,10 @@ class TestNeighborBoundsAg:
         assert got == want
         assert all(is_independent(ag4, S) for S in want)
         report = verify_neighbor_bounds(ag4, 3)
-        assert report.instances_checked == len(want)
-        assert report.min_attained == min(len(neighborhood(ag4, S)) for S in want)
+        sizes = [len(neighborhood(ag4, S)) for S in want]
+        # the cap lets through only the sets at or under the bound 6n - 16
+        assert report.instances_checked == sum(size <= 8 for size in sizes)
+        assert report.min_attained == min(sizes)
 
 
 class TestSplitstarBounds:
@@ -109,11 +111,20 @@ class TestSplitstarBounds:
             assert report.verdict == "consistent"
             assert report.min_attained == want
 
-    def test_s5_sampled(self, s5):
-        report = verify_neighbor_bounds(s5, 2, trials=3000, seed=1)
-        assert report.mode == "sampled"
-        assert report.verdict == "consistent (sampled)"
-        assert report.min_attained >= 4 * 5 - 8
+    def test_s5_minima_exact(self, s5):
+        for size, want in ((2, 12), (3, 16), (4, 20)):
+            report = verify_neighbor_bounds(s5, size)
+            assert (report.mode, report.verdict, report.min_attained) == (
+                "exhaustive", "consistent", want)
+
+    def test_no_set_at_the_bound_reads_none(self, s4):
+        # one more edge at vertex 0 puts every independent pair through 0 over 4n - 8
+        G = add_edge(s4, 0, 1)
+        assert len(list(witness_families(G.adj_masks, 2, 1))) == 17
+        report = verify_neighbor_bounds(G, 2)
+        assert (report.verdict, report.instances_checked, report.min_attained) == (
+            "consistent", 0, None)
+        assert report.notes[-1] == "every independent 2-set has |N(S)| > 8: none attains the bound"
 
     def test_mutation_control(self, s4):
         # make some independent pair's neighborhood fall under 4n-8
@@ -340,43 +351,27 @@ class TestSampling:
                 for _ in range(3):  # consecutive draws share one stream
                     assert sample_subset(rng, V, k) == sorted(oracle_sample_subset(ref, V, k))
                 assert rng.getstate() == ref.getstate()
-                for chunk in (0, 63):  # the draws of a sampled census chunk, in draw order
-                    rng = random.Random(lemmas._chunk_seed(seed, chunk))
-                    ref = random.Random(lemmas._chunk_seed(seed, chunk))
-                    want = [oracle_sample_subset(ref, V, k) for _ in range(20)]
-                    assert list(itertools.islice(lemmas._subset_draws(rng, V, k), 20)) == want
-                    assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("V,k", [(5, 6), (5, -1), (0, 1)])
     def test_size_outside_range_raises(self, V, k):
         with pytest.raises(ValueError, match="subset size"):
             sample_subset(random.Random(0), V, k)
 
-    def test_sampled_reports_match_the_randrange_stream(self, ag4, ag5, ag6, s5,
-                                                         monkeypatch):
+    def test_sampled_reports_match_the_randrange_stream(self, ag4, ag5, s5, monkeypatch):
         # the four sampled rules of the benchmark, plus AG_4, whose V - i runs
         # through a power of two (8); the benchmark shapes never do
         cases = [(ag5, "ag-6n-20", 10), (ag5, "ag-8n-29", 11), (s5, "s2-6n-17", 13),
                  (s5, "s2-8n-25", 15), (ag4, "ag-4n-11", 5)]
 
         def reports(jobs):
-            census = [
-                verify_cut_structure(G, size, rule, mode="sampled", trials=5000, seed=9,
-                                     jobs=jobs)
+            return [
+                json.dumps(verify_cut_structure(G, size, rule, mode="sampled", trials=5000,
+                                                seed=9, jobs=jobs).to_json_dict())
                 for G, rule, size in cases
             ]
-            bounds = [verify_neighbor_bounds(ag6, 3, trials=300, seed=4),
-                      verify_neighbor_bounds(s5, 2, trials=300, seed=4)]
-            return [json.dumps(r.to_json_dict()) for r in census + bounds]
-
-        def oracle_draws(rng, V, k):
-            while True:
-                yield oracle_sample_subset(rng, V, k)
 
         got = [reports(1), reports(2)]
-        # the censuses draw through _draw_lanes, the neighborhood bounds through _subset_draws
         monkeypatch.setattr(lemmas, "_draw_lanes", oracle_draw_lanes)
-        monkeypatch.setattr(lemmas, "_subset_draws", oracle_draws)
         assert got == [reports(1), reports(2)]
 
     @pytest.mark.parametrize("V", [1, 2, 7, 8, 60, 72, 360])
